@@ -61,13 +61,11 @@ from .intervals import (
     Interval,
     UniformSampler,
     decay_weight,
-    encode_covariate,
     intersecting,
-    sample_discrete,
-    sample_uniform,
-    target_weight,
+    target_weights,
 )
 from .models import (
+    BatchDraw,
     DualForecast,
     ModelArch,
     ModelParams,
@@ -90,11 +88,10 @@ from .training import (
     AdamwState,
     EpochRecord,
     PolicyConfig,
-    SampleLossSpec,
     TrainReport,
     cosine_lr,
+    draw_batch,
     load_checkpoint,
-    make_batch_losses,
     masked_mae,
     save_checkpoint,
     train,

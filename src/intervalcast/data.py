@@ -220,8 +220,9 @@ def generate_synthds(seed: int, noise_sd: float = SYNTH_NOISE_SD) -> TimeSeries:
 def load_csv(path: str, channel_limit: int, domain_max: float) -> TimeSeries:
     """Read a header-plus-numeric-rows CSV, keeping the first ``channel_limit`` columns.
 
-    Rows are treated as consecutive timesteps in file order. Ragged rows and
-    unparseable cells are rejected with their location; nothing is imputed.
+    Rows are treated as consecutive timesteps in file order. Ragged rows,
+    unparseable cells and non-finite values (nan, inf) are rejected with
+    their location; nothing is imputed.
     """
     if channel_limit < 1:
         raise ConfigError(f"channel_limit must be >= 1, got {channel_limit}")
@@ -250,7 +251,14 @@ def load_csv(path: str, channel_limit: int, domain_max: float) -> TimeSeries:
             rows.append(parsed)
     if not rows:
         raise FormatError(f"{path}: no data rows after the header")
-    return TimeSeries(np.array(rows, dtype=np.float64), names, domain_max)
+    values = np.array(rows, dtype=np.float64)
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise ParseError(
+            f"{path}: row {row + 2}, column {col + 1}: "
+            f"non-finite value {values[row, col]!r}"
+        )
+    return TimeSeries(values, names, domain_max)
 
 
 def write_csv(series: TimeSeries, path: str) -> None:

@@ -70,7 +70,8 @@ def _check_utilization(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64).ravel()
     if u.size == 0:
         raise DataError("utilization trace is empty")
-    if u.min() < 0.0 or u.max() > 1.0:
+    # written so that NaN, which fails every comparison, is rejected too
+    if not (u.min() >= 0.0 and u.max() <= 1.0):
         raise DataError(
             f"utilization must lie in [0, 1], got range [{u.min()}, {u.max()}]"
         )

@@ -1,9 +1,10 @@
 """Interval algebra for the conditioning covariate.
 
-Contains the two interval samplers (continuous with a minimum length,
+Contains the two interval distributions (continuous with a minimum length,
 discrete over an equal-length partition), the exponential decay weight that
 softens the interval indicator, and the partition-intersection map used by
-the patching strategies.
+the patching strategies. The draws themselves are batched in the training
+module.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ FULL_DOMAIN = Interval(0.0, 1.0)
 
 @dataclass(frozen=True)
 class UniformSampler:
-    """Uniform sampler over intervals of length at least ``delta``.
+    """Uniform distribution over intervals of length at least ``delta``.
 
     The distribution is factorized: lo ~ U[0, 1-delta], then
     hi ~ U[lo+delta, 1].
@@ -68,12 +69,6 @@ class UniformSampler:
         object.__setattr__(self, "delta", float(self.delta))
         if not (0.0 <= self.delta < 1.0):
             raise ConfigError(f"delta must be in [0, 1), got {self.delta}")
-
-
-def sample_uniform(sampler: UniformSampler, rng: np.random.Generator) -> Interval:
-    lo = rng.uniform(0.0, 1.0 - sampler.delta)
-    hi = rng.uniform(lo + sampler.delta, 1.0)
-    return Interval(min(lo, 1.0), min(hi, 1.0))
 
 
 @dataclass(frozen=True)
@@ -105,11 +100,6 @@ class DiscretePartition:
                 )
 
 
-def sample_discrete(partition: DiscretePartition, rng: np.random.Generator) -> Interval:
-    """One partition cell chosen uniformly (probability 1/L each)."""
-    return partition.intervals[int(rng.integers(0, partition.L))]
-
-
 @dataclass(frozen=True)
 class DecaySpec:
     """Decay rate ``nu`` in [0, inf]; infinity means hard indicator behavior."""
@@ -133,27 +123,29 @@ def decay_weight(y: float, interval: Interval, spec: DecaySpec) -> float:
     return math.exp(-spec.nu * excess)
 
 
-def target_weights(
-    targets: np.ndarray, interval: Interval, spec: DecaySpec
-) -> np.ndarray:
+def entries_inside(targets: np.ndarray, lo, hi) -> np.ndarray:
+    """Per-entry closed-interval membership ``lo <= y <= hi`` as booleans.
+
+    ``lo`` and ``hi`` are floats, or arrays that broadcast against
+    ``targets`` (shape (B, 1, 1) for one interval per sample).
+    """
+    return (targets >= lo) & (targets <= hi)
+
+
+def target_weights(targets: np.ndarray, lo, hi, spec: DecaySpec) -> np.ndarray:
     """Per-sample product of decay weights over all target entries.
 
-    ``targets`` has shape (B, tau, n); the result has shape (B,). With
-    nu=inf this is the exact indicator of every entry lying in the closed
-    interval.
+    ``targets`` has shape (B, tau, n); ``lo`` and ``hi`` are as in
+    :func:`entries_inside`. The result has shape (B,). With nu=inf this is
+    the exact indicator of every entry lying in the closed interval.
     """
     t = np.asarray(targets, dtype=np.float64)
     if math.isinf(spec.nu):
-        inside = (t >= interval.lo) & (t <= interval.hi)
-        return inside.all(axis=(1, 2)).astype(np.float64)
-    excess = np.maximum(0.0, np.abs(t - interval.midpoint) - interval.half_width)
+        return entries_inside(t, lo, hi).all(axis=(1, 2)).astype(np.float64)
+    midpoint = (hi + lo) / 2.0
+    half_width = (hi - lo) / 2.0
+    excess = np.maximum(0.0, np.abs(t - midpoint) - half_width)
     return np.exp(-spec.nu * excess).prod(axis=(1, 2))
-
-
-def target_weight(target: np.ndarray, interval: Interval, spec: DecaySpec) -> float:
-    """Product of :func:`decay_weight` over one tau x n target window."""
-    t = np.asarray(target, dtype=np.float64)
-    return float(target_weights(t[None, ...], interval, spec)[0])
 
 
 def intersecting(partition: DiscretePartition, query: Interval) -> list[Interval]:
@@ -175,8 +167,3 @@ def intersecting(partition: DiscretePartition, query: Interval) -> list[Interval
     if hi in boundaries and hi - _BOUNDARY_SHRINK >= lo:
         hi = hi - _BOUNDARY_SHRINK
     return [c for c in partition.intervals if c.lo <= hi and lo <= c.hi]
-
-
-def encode_covariate(interval: Interval) -> np.ndarray:
-    """The (lo, hi) vector fed to the model alongside the history window."""
-    return np.array([interval.lo, interval.hi], dtype=np.float64)

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import WindowSample
 from .errors import ConfigError, DataError, DimensionError, NumericError
-from .intervals import Interval, encode_covariate
+from .intervals import Interval
 
 KIND_MLP = "mlp"
 KIND_LINEAR = "linear"
@@ -79,6 +78,20 @@ class ModelParams:
                 f"{self.arch.param_count()}"
             )
         self.theta = t
+
+
+class BatchDraw(NamedTuple):
+    """Loss shaping for one mini-batch, one row per sample.
+
+    ``bounds`` holds each sample's conditioning interval as (lo, hi),
+    ``weight`` its loss weight, and ``labels`` (patching-augmented policy
+    only) the per-entry in-interval indicators the classification head is
+    trained on.
+    """
+
+    bounds: np.ndarray          # (B, 2)
+    weight: np.ndarray          # (B,)
+    labels: np.ndarray | None   # (B, tau, n) or None
 
 
 @dataclass
@@ -144,12 +157,9 @@ def _slices(theta: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, from one exp
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def moving_average(history: np.ndarray, kernel: int) -> np.ndarray:
@@ -165,10 +175,13 @@ def moving_average(history: np.ndarray, kernel: int) -> np.ndarray:
     return window.mean(axis=-1)
 
 
-def _covariate_rows(arch: ModelArch, intervals: Sequence[Interval]) -> np.ndarray:
-    if arch.use_covariate:
-        return np.stack([encode_covariate(i) for i in intervals])
-    return np.tile(np.array([0.0, 1.0]), (len(intervals), 1))
+def _covariate_rows(arch: ModelArch, intervals) -> np.ndarray:
+    """(B, 2) covariate rows: each interval's (lo, hi), or (0, 1) when pinned."""
+    if not arch.use_covariate:
+        return np.tile(np.array([0.0, 1.0]), (len(intervals), 1))
+    if isinstance(intervals, np.ndarray):
+        return intervals
+    return np.array([(i.lo, i.hi) for i in intervals], dtype=np.float64).reshape(-1, 2)
 
 
 def _forward_mlp(params: ModelParams, H: np.ndarray, cov: np.ndarray) -> dict:
@@ -201,15 +214,19 @@ def _forward_linear(params: ModelParams, H: np.ndarray, cov: np.ndarray) -> dict
 
 
 def forward_batch(
-    params: ModelParams, histories: np.ndarray, intervals: Sequence[Interval]
+    params: ModelParams, histories: np.ndarray, intervals: Sequence[Interval] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched forward pass: (B, w, n) histories -> (B, tau, n) regression and probability."""
+    """Batched forward pass: (B, w, n) histories -> (B, tau, n) regression and probability.
+
+    ``intervals`` is one :class:`Interval` per history, or their (B, 2)
+    array of (lo, hi) rows.
+    """
     cache = _forward(params, histories, intervals)
     return cache["reg"], cache["prob"]
 
 
 def _forward(params: ModelParams, histories: np.ndarray,
-             intervals: Sequence[Interval]) -> dict:
+             intervals: Sequence[Interval] | np.ndarray) -> dict:
     arch = params.arch
     H = np.asarray(histories, dtype=np.float64)
     if H.ndim != 3 or H.shape[1] != arch.w or H.shape[2] != arch.n:
@@ -243,31 +260,34 @@ def forward(params: ModelParams, history: np.ndarray, interval: Interval) -> Dua
 
 def batch_loss(
     params: ModelParams,
-    samples: Sequence[WindowSample],
-    specs: Sequence,
+    histories: np.ndarray,
+    targets: np.ndarray,
+    draw: BatchDraw,
     phi: float,
 ) -> float:
     """Batch-mean loss only (shares every code path with :func:`backward`)."""
-    loss, _, _ = _loss_terms(params, samples, specs, phi, cache_out=None)
+    loss, _, _ = _loss_terms(params, histories, targets, draw, phi, cache_out=None)
     return loss
 
 
 def backward(
     params: ModelParams,
-    samples: Sequence[WindowSample],
-    specs: Sequence,
+    histories: np.ndarray,
+    targets: np.ndarray,
+    draw: BatchDraw,
     phi: float,
 ) -> tuple[float, np.ndarray]:
     """Batch-mean loss and its analytic gradient with respect to theta.
 
-    ``specs`` carries one (interval, weight, label) record per sample; see
-    the training module. The regression part is weighted MAE with the 0
-    subgradient at zero residual; the classification part (present when a
-    spec has labels and phi > 0) is weighted binary cross entropy scaled
-    by phi.
+    ``histories`` is (B, w, n) and ``targets`` (B, tau, n); ``draw`` carries
+    each sample's conditioning interval, weight and optional labels (see
+    the training module). The regression part is weighted MAE with the 0
+    subgradient at zero residual; the classification part (present when
+    the draw has labels and phi > 0) is weighted binary cross entropy
+    scaled by phi.
     """
     cache: dict = {}
-    loss, dreg, dlogits = _loss_terms(params, samples, specs, phi, cache_out=cache)
+    loss, dreg, dlogits = _loss_terms(params, histories, targets, draw, phi, cache_out=cache)
     arch = params.arch
     grad = np.zeros_like(params.theta)
     g = _unpack(arch, grad)
@@ -297,31 +317,33 @@ def backward(
     return loss, grad
 
 
-def _loss_terms(params, samples, specs, phi, cache_out):
-    if len(samples) == 0:
-        raise DataError("batch must be non-empty")
-    if len(specs) != len(samples):
-        raise DimensionError(f"{len(specs)} loss specs for {len(samples)} samples")
+def _loss_terms(params, histories, targets, draw, phi, cache_out):
     arch = params.arch
-    H = np.stack([s.history for s in samples])
-    Y = np.stack([s.target for s in samples])
+    Y = np.asarray(targets, dtype=np.float64)
+    B = len(Y)
+    if B == 0:
+        raise DataError("batch must be non-empty")
+    if len(histories) != B or len(draw.weight) != B:
+        raise DimensionError(
+            f"{len(histories)} histories and {len(draw.weight)} loss weights "
+            f"for {B} targets"
+        )
     if Y.shape[1:] != (arch.tau, arch.n):
         raise DimensionError(
             f"target shape {Y.shape[1:]} does not match (tau, n) = ({arch.tau}, {arch.n})"
         )
-    weights = np.array([sp.weight for sp in specs], dtype=np.float64)
-    cache = _forward(params, H, [sp.interval for sp in specs])
+    weights = draw.weight
+    cache = _forward(params, histories, draw.bounds)
     if cache_out is not None:
         cache_out.update(cache)
-    B = len(samples)
     per_entry = 1.0 / (arch.tau * arch.n)
 
     resid = cache["reg"] - Y
     reg_loss = weights * np.abs(resid).mean(axis=(1, 2))
 
     labels = None
-    if specs[0].label is not None and phi != 0.0:
-        labels = np.stack([sp.label for sp in specs])
+    if draw.labels is not None and phi != 0.0:
+        labels = draw.labels
         p = np.clip(cache["prob"], PROB_CLAMP, 1.0 - PROB_CLAMP)
         bce = -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
         cls_loss = weights * bce.mean(axis=(1, 2))

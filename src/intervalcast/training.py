@@ -2,7 +2,8 @@
 
 Five policies share one loop; they differ only in how each sample's
 conditioning interval, loss weight, and (for the patching-augmented policy)
-per-entry classification labels are produced:
+per-entry classification labels are produced, all drawn for a whole
+mini-batch at once by :func:`draw_batch`:
 
 * ``b``     -- full domain, weight 1, interval covariate disabled.
 * ``e2e``   -- one fixed task interval, hard indicator weight, covariate disabled.
@@ -33,16 +34,14 @@ from .intervals import (
     DiscretePartition,
     Interval,
     UniformSampler,
-    sample_discrete,
-    sample_uniform,
-    target_weight,
+    entries_inside,
     target_weights,
 )
 from .models import (
+    BatchDraw,
     ModelArch,
     ModelParams,
     backward,
-    batch_loss,
     forward_batch,
     init,
 )
@@ -123,15 +122,6 @@ class PolicyConfig:
         return f"Dstar{self.partition.L}"
 
 
-@dataclass(frozen=True)
-class SampleLossSpec:
-    """Per-sample loss shaping: conditioning interval, weight, optional labels."""
-
-    interval: Interval
-    weight: float
-    label: np.ndarray | None = None
-
-
 def masked_mae(pred: np.ndarray, target: np.ndarray, weight: float) -> float:
     """weight * mean(|pred - target|); the unmasked baseline uses weight 1."""
     p = np.asarray(pred, dtype=np.float64)
@@ -150,47 +140,42 @@ def weighted_bce(prob: np.ndarray, label: np.ndarray, weight: float) -> float:
     return float(weight * (-(y * np.log(p) + (1.0 - y) * np.log1p(-p))).mean())
 
 
-def entry_labels(target: np.ndarray, interval: Interval) -> np.ndarray:
-    """Per-entry indicator 1(y in [lo, hi]) as floats, shape tau x n."""
-    t = np.asarray(target, dtype=np.float64)
-    return ((t >= interval.lo) & (t <= interval.hi)).astype(np.float64)
+def draw_batch(
+    policy: PolicyConfig, targets: np.ndarray, rng: np.random.Generator
+) -> BatchDraw:
+    """Draw every sample's conditioning interval, weight and labels for one mini-batch.
 
-
-def make_batch_losses(
-    policy: PolicyConfig,
-    batch: Sequence[WindowSample],
-    rng: np.random.Generator,
-) -> list[SampleLossSpec]:
-    """Draw per-sample intervals and weights for one mini-batch.
-
-    Interval draws are per sample and are repeated every time the sample is
-    seen (fresh draws each epoch).
+    ``targets`` is the batch's (B, tau, n) target array. Draws are fresh
+    each time a sample is seen. They consume the RNG stream exactly as one
+    scalar draw per sample in batch order would: ``integers(0, L, size=B)``
+    for the partition policies, and for ``c`` the rows of
+    ``random((B, 2))`` mapped to lo ~ U[0, 1-delta], hi ~ U[lo+delta, 1].
     """
-    if len(batch) == 0:
+    Y = np.asarray(targets, dtype=np.float64)
+    B = len(Y)
+    if B == 0:
         raise ConfigError("batch must be non-empty")
-    specs = []
-    if policy.kind == "b":
-        for _ in batch:
-            specs.append(SampleLossSpec(FULL_DOMAIN, 1.0))
-    elif policy.kind == "e2e":
-        for s in batch:
-            w = target_weight(s.target, policy.task_interval, INDICATOR)
-            specs.append(SampleLossSpec(policy.task_interval, w))
-    elif policy.kind == "c":
-        sampler = UniformSampler(policy.delta)
-        for s in batch:
-            iv = sample_uniform(sampler, rng)
-            specs.append(SampleLossSpec(iv, target_weight(s.target, iv, INDICATOR)))
-    elif policy.kind == "d":
-        for s in batch:
-            iv = sample_discrete(policy.partition, rng)
-            specs.append(SampleLossSpec(iv, target_weight(s.target, iv, INDICATOR)))
-    else:  # dstar
-        for s in batch:
-            iv = sample_discrete(policy.partition, rng)
-            w = target_weight(s.target, iv, policy.nu)
-            specs.append(SampleLossSpec(iv, w, entry_labels(s.target, iv)))
-    return specs
+    if policy.kind in ("b", "e2e"):
+        iv = FULL_DOMAIN if policy.kind == "b" else policy.task_interval
+        bounds = np.tile(np.array([iv.lo, iv.hi]), (B, 1))
+        if policy.kind == "b":
+            return BatchDraw(bounds, np.ones(B), None)
+        return BatchDraw(bounds, target_weights(Y, iv.lo, iv.hi, INDICATOR), None)
+    if policy.kind == "c":
+        u = rng.random((B, 2))
+        lo = (1.0 - policy.delta) * u[:, 0]
+        hi_min = lo + policy.delta
+        hi = hi_min + (1.0 - hi_min) * u[:, 1]
+        bounds = np.minimum(np.stack([lo, hi], axis=1), 1.0)
+    else:
+        cells = np.array([(c.lo, c.hi) for c in policy.partition.intervals])
+        bounds = cells[rng.integers(0, policy.partition.L, size=B)]
+    lo = bounds[:, 0, None, None]
+    hi = bounds[:, 1, None, None]
+    if policy.kind != "dstar":
+        return BatchDraw(bounds, target_weights(Y, lo, hi, INDICATOR), None)
+    labels = entries_inside(Y, lo, hi).astype(np.float64)
+    return BatchDraw(bounds, target_weights(Y, lo, hi, policy.nu), labels)
 
 
 def cosine_lr(epoch: int, n_epochs: int, lr_max: float = LR_MAX, lr_min: float = LR_MIN) -> float:
@@ -224,13 +209,30 @@ def adamw_update(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One decoupled-weight-decay Adam step, in place on theta."""
+    """One decoupled-weight-decay Adam step, in place on theta and both moments.
+
+    The arithmetic is, operation for operation, m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g*g, then
+    theta -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta).
+    """
     state.step += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1 ** state.step)
-    v_hat = state.v / (1.0 - beta2 ** state.step)
-    theta -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * theta)
+    m, v = state.m, state.v
+    scratch = np.multiply(grad, 1.0 - beta1)
+    m *= beta1
+    m += scratch
+    np.multiply(grad, 1.0 - beta2, out=scratch)
+    scratch *= grad
+    v *= beta2
+    v += scratch
+    np.divide(v, 1.0 - beta2 ** state.step, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += eps
+    update = np.divide(m, 1.0 - beta1 ** state.step)
+    update /= scratch
+    np.multiply(theta, weight_decay, out=scratch)
+    update += scratch
+    update *= lr
+    theta -= update
 
 
 @dataclass(frozen=True)
@@ -277,14 +279,15 @@ def validation_loss(
     phi = policy.effective_phi
     cell_losses = []
     for iv in _validation_intervals(policy):
-        reg, prob = forward_batch(params, H, [iv] * len(val_samples))
+        bounds = np.tile(np.array([iv.lo, iv.hi]), (len(val_samples), 1))
+        reg, prob = forward_batch(params, H, bounds)
         if policy.kind == "b":
             weights = np.ones(len(val_samples))
         else:
-            weights = target_weights(Y, iv, spec)
+            weights = target_weights(Y, iv.lo, iv.hi, spec)
         losses = weights * np.abs(reg - Y).mean(axis=(1, 2))
         if phi != 0.0:
-            labels = ((Y >= iv.lo) & (Y <= iv.hi)).astype(np.float64)
+            labels = entries_inside(Y, iv.lo, iv.hi).astype(np.float64)
             p = np.clip(prob, 1e-12, 1.0 - 1e-12)
             bce = -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
             losses = losses + phi * weights * bce.mean(axis=(1, 2))
@@ -311,7 +314,8 @@ def train(
 
     Returns the parameters (and optimizer state) from the epoch with the
     lowest validation loss. Fully deterministic for a given seed and
-    configuration.
+    configuration. Raises :class:`TrainingError` when every loss weight
+    drawn in an epoch is 0, since such a run would learn nothing.
     """
     if len(train_samples) == 0 or len(val_samples) == 0:
         raise TrainingError("training and validation splits must be non-empty")
@@ -334,15 +338,24 @@ def train(
         lr = cosine_lr(epoch, epochs, lr_max, lr_min)
         order = loop_rng.permutation(len(train_samples))
         batch_losses = []
+        weight_sum = 0.0
         for b, start in enumerate(range(0, len(order), batch_size)):
             batch = [train_samples[i] for i in order[start : start + batch_size]]
-            specs = make_batch_losses(policy, batch, loop_rng)
+            H = np.stack([s.history for s in batch])
+            Y = np.stack([s.target for s in batch])
+            draw = draw_batch(policy, Y, loop_rng)
+            weight_sum += draw.weight.sum()
             try:
-                loss, grad = backward(params, batch, specs, phi)
+                loss, grad = backward(params, H, Y, draw, phi)
             except NumericError as exc:
                 raise TrainingError(f"epoch {epoch}, batch {b}: {exc}") from exc
             adamw_update(opt, params.theta, grad, lr, policy.weight_decay)
             batch_losses.append(loss)
+        if weight_sum == 0.0:
+            raise TrainingError(
+                f"policy {policy.label()}, epoch {epoch}: every drawn loss weight is 0, "
+                f"so no training target lies near enough to its interval to give a gradient"
+            )
         train_loss = float(np.mean(batch_losses))
         val_loss = validation_loss(params, policy, val_samples)
         report.epochs.append(EpochRecord(epoch, train_loss, val_loss, lr))

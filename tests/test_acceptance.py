@@ -33,7 +33,7 @@ from intervalcast.data import WindowSample, synth_hypothesis
 from intervalcast.evaluation import interval_mae
 from intervalcast.models import ModelParams, backward, batch_loss, init
 from intervalcast.patching import PatchRequest, forecast, patch_average, patch_maxconf
-from intervalcast.training import make_batch_losses
+from intervalcast.training import draw_batch
 
 DATA_SEED = 15       # fixed trace seed; all four hypotheses appear in the
                      # held-out fresh blocks (coverage checked below)
@@ -203,19 +203,15 @@ def test_criterion_5_gradient_correctness():
             "dstar", partition=DiscretePartition(4), nu=DecaySpec(2.0), phi=0.5
         ),
     }
-    def fd_oracle_valid(params, batch, specs):
+    def fd_oracle_valid(params, H, Y, draw):
         # central differences are informative only away from the |.| kink and
         # away from exact sign cancellations, where the true derivative is 0
         # and the quotient measures nothing but float jitter
-        reg, _ = ic.forward_batch(
-            params,
-            np.stack([s.history for s in batch]),
-            [sp.interval for sp in specs],
-        )
-        resid = reg - np.stack([s.target for s in batch])
+        reg, _ = ic.forward_batch(params, H, draw.bounds)
+        resid = reg - Y
         if np.abs(resid).min() < 1e-3:
             return False
-        weights = np.array([sp.weight for sp in specs])
+        weights = draw.weight
         if weights.sum() == 0:
             return True  # fully masked draw: loss is exactly 0 everywhere
         signed = np.sign(resid) * weights[:, None, None]
@@ -241,19 +237,21 @@ def test_criterion_5_gradient_correctness():
                         0, 1,
                     )
                     batch.append(WindowSample(hist, target, 0))
-                specs = make_batch_losses(policy, batch, rng)
+                H = np.stack([s.history for s in batch])
+                Y = np.stack([s.target for s in batch])
+                draw = draw_batch(policy, Y, rng)
                 params = init(
                     kind, dims, 2000 + attempts, hidden=5, kernel=3,
                     use_covariate=policy.uses_covariate,
                 )
-                if not fd_oracle_valid(params, batch, specs):
+                if not fd_oracle_valid(params, H, Y, draw):
                     continue
                 checked += 1
                 phi = policy.effective_phi
-                loss, grad = backward(params, batch, specs, phi)
+                loss, grad = backward(params, H, Y, draw, phi)
                 if loss > 0:
                     nonzero_checks += 1
-                f = lambda th: batch_loss(ModelParams(params.arch, th), batch, specs, phi)
+                f = lambda th: batch_loss(ModelParams(params.arch, th), H, Y, draw, phi)
                 report = ic.check_gradient(f, params.theta, grad, step=1e-5, tol=1e-5)
                 if not report.passed:
                     failures.append((kind, name, checked, report.max_relative_error))

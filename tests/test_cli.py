@@ -53,6 +53,19 @@ def test_train_writes_artifacts(tmp_path):
     assert (out / "train.log").exists()
 
 
+def test_train_default_data_without_signal_fails_loudly(tmp_path, capsys):
+    # default synthetic data (noise 0.05, clipped to [0, 1], w=48, tau=24):
+    # no 24-step training target lies inside one L=16 cell, so every
+    # indicator weight is 0 and the run must not save its random init
+    out = tmp_path / "d16"
+    code = main(["train", "--policy", "d", "--L", "16", "--out", str(out)])
+    assert code != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: TrainingError: policy D16, epoch 0:")
+    assert "every drawn loss weight is 0" in err
+    assert not (out / "checkpoint.json").exists()
+
+
 def test_train_byte_identical_reruns(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     args = ["train", "--policy", "d", "--L", "4"] + FAST_TRAIN

@@ -210,6 +210,14 @@ def test_load_csv_parse_error_names_location(tmp_path):
     assert "row 3" in str(err.value) and "column 2" in str(err.value)
 
 
+def test_load_csv_rejects_non_finite_cell_with_location(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n3,4\n5,nan\n6,inf\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_csv(str(path), channel_limit=2, domain_max=1.0)
+    assert "row 4, column 2" in str(err.value) and "nan" in str(err.value)
+
+
 def test_load_csv_ragged_row(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n3\n", encoding="utf-8")

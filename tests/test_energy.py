@@ -142,6 +142,14 @@ def test_energy_error_scales_with_count_difference():
     assert errs.energy_error_wh == pytest.approx((1266.0 - 320.0) / 4)
 
 
+def test_simulate_rejects_nan_utilization():
+    u = np.array([0.2, np.nan, 0.6])
+    with pytest.raises(DataError):
+        simulate(u, 0.01, CFG)
+    with pytest.raises(DataError):
+        compare_decisions(u, np.full(3, 0.5), 0.5, CFG)
+
+
 def test_compare_rejects_length_mismatch():
     with pytest.raises(DataError):
         compare_decisions(np.zeros(3), np.zeros(4), 0.5, CFG)

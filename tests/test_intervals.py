@@ -7,16 +7,23 @@ from intervalcast import (
     DecaySpec,
     DiscretePartition,
     Interval,
+    PolicyConfig,
     UniformSampler,
     decay_weight,
-    encode_covariate,
+    draw_batch,
     intersecting,
-    sample_discrete,
-    sample_uniform,
-    target_weight,
 )
 from intervalcast.errors import ConfigError
 from intervalcast.intervals import INDICATOR, target_weights
+from intervalcast.models import ModelArch, _covariate_rows
+
+
+def _covariates(*intervals):
+    return _covariate_rows(ModelArch("mlp", 4, 2, 1), list(intervals))
+
+
+def _bounds(policy, count, rng):
+    return draw_batch(policy, np.zeros((count, 1, 1)), rng).bounds
 
 
 def test_interval_validation():
@@ -30,12 +37,12 @@ def test_interval_validation():
 
 def test_interval_degenerate_allowed():
     iv = Interval(0.25, 0.25)
-    assert np.array_equal(encode_covariate(iv), [0.25, 0.25])
+    assert np.array_equal(_covariates(iv), [[0.25, 0.25]])
 
 
 def test_encode_covariate():
-    assert np.array_equal(encode_covariate(Interval(0.75, 1.0)), [0.75, 1.0])
-    assert np.array_equal(encode_covariate(Interval(0.0, 1.0)), [0.0, 1.0])
+    got = _covariates(Interval(0.75, 1.0), Interval(0.0, 1.0))
+    assert np.array_equal(got, [[0.75, 1.0], [0.0, 1.0]])
 
 
 # ---------------------------------------------------------------- samplers
@@ -43,25 +50,23 @@ def test_encode_covariate():
 
 def test_uniform_sampler_respects_delta():
     rng = np.random.default_rng(0)
-    sampler = UniformSampler(0.99)
-    for _ in range(100):
-        iv = sample_uniform(sampler, rng)
-        assert iv.length >= 0.99
+    bounds = _bounds(PolicyConfig("c", delta=0.99), 100, rng)
+    assert np.all(bounds[:, 1] - bounds[:, 0] >= 0.99)
 
 
 def test_uniform_sampler_covers_lengths():
     # delta=0 lengths should populate all of (0, 1]
     rng = np.random.default_rng(1)
-    sampler = UniformSampler(0.0)
-    lengths = np.array([sample_uniform(sampler, rng).length for _ in range(10_000)])
+    bounds = _bounds(PolicyConfig("c", delta=0.0), 10_000, rng)
+    lengths = bounds[:, 1] - bounds[:, 0]
     counts, _ = np.histogram(lengths, bins=10, range=(0.0, 1.0))
     assert counts.min() > 0
 
 
 def test_uniform_sampler_deterministic():
-    a = sample_uniform(UniformSampler(0.2), np.random.default_rng(42))
-    b = sample_uniform(UniformSampler(0.2), np.random.default_rng(42))
-    assert a == b
+    a = _bounds(PolicyConfig("c", delta=0.2), 1, np.random.default_rng(42))
+    b = _bounds(PolicyConfig("c", delta=0.2), 1, np.random.default_rng(42))
+    assert np.array_equal(a, b)
 
 
 def test_uniform_sampler_rejects_bad_delta():
@@ -86,13 +91,14 @@ def test_discrete_partition_contiguous(L):
 
 def test_discrete_sampler_single_cell():
     rng = np.random.default_rng(0)
-    assert sample_discrete(DiscretePartition(1), rng) == Interval(0.0, 1.0)
+    bounds = _bounds(PolicyConfig("d", partition=DiscretePartition(1)), 1, rng)
+    assert np.array_equal(bounds, [[0.0, 1.0]])
 
 
 def test_discrete_sampler_frequencies():
     rng = np.random.default_rng(2)
     partition = DiscretePartition(4)
-    draws = [sample_discrete(partition, rng).lo for _ in range(10_000)]
+    draws = _bounds(PolicyConfig("d", partition=partition), 10_000, rng)[:, 0]
     freqs = np.bincount((np.array(draws) * 4).astype(int), minlength=4) / 10_000
     sigma = math.sqrt(0.25 * 0.75 / 10_000)
     assert np.abs(freqs - 0.25).max() < 3 * sigma
@@ -134,21 +140,21 @@ def test_decay_spec_validation():
 
 
 def test_target_weight_all_inside():
-    target = np.full((3, 2), 0.3)
-    assert target_weight(target, Interval(0.25, 0.5), DecaySpec(5.0)) == 1.0
+    target = np.full((1, 3, 2), 0.3)
+    assert target_weights(target, 0.25, 0.5, DecaySpec(5.0))[0] == 1.0
 
 
 def test_target_weight_hard_zero():
-    target = np.full((3, 2), 0.3)
-    target[1, 1] = 0.6
-    assert target_weight(target, Interval(0.25, 0.5), INDICATOR) == 0.0
+    target = np.full((1, 3, 2), 0.3)
+    target[0, 1, 1] = 0.6
+    assert target_weights(target, 0.25, 0.5, INDICATOR)[0] == 0.0
 
 
 def test_target_weight_hand_product():
     # two entries at 0.3 and 0.4 against [0, 0.25] with nu=10:
     # excesses are 0.05 and 0.15, so the product is exp(-10*0.2) = exp(-2)
-    target = np.array([[0.3], [0.4]])
-    w = target_weight(target, Interval(0.0, 0.25), DecaySpec(10.0))
+    target = np.array([[[0.3], [0.4]]])
+    w = target_weights(target, 0.0, 0.25, DecaySpec(10.0))[0]
     assert w == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
@@ -156,7 +162,7 @@ def test_target_weight_matches_indicator_randomized():
     rng = np.random.default_rng(4)
     targets = rng.uniform(0, 1, size=(100_000, 2, 1))
     lo, hi = 0.2, 0.7
-    weights = target_weights(targets, Interval(lo, hi), INDICATOR)
+    weights = target_weights(targets, lo, hi, INDICATOR)
     expected = ((targets >= lo) & (targets <= hi)).all(axis=(1, 2))
     assert np.array_equal(weights.astype(bool), expected)
 

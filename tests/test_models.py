@@ -10,19 +10,21 @@ from intervalcast import (
     Interval,
     PolicyConfig,
     check_gradient,
+    draw_batch,
     forward,
     init,
 )
 from intervalcast.data import WindowSample
 from intervalcast.errors import ConfigError, DimensionError, NumericError
 from intervalcast.models import (
+    BatchDraw,
     ModelParams,
+    _sigmoid,
     backward,
     batch_loss,
     moving_average,
     forward_batch,
 )
-from intervalcast.training import SampleLossSpec, make_batch_losses
 
 DIMS = (6, 3, 2)  # w, tau, n
 
@@ -34,6 +36,15 @@ def _sample(rng, level=None):
     else:
         target = np.full((DIMS[1], DIMS[2]), level)
     return WindowSample(hist, target, 0)
+
+
+def _arrays(batch):
+    return np.stack([s.history for s in batch]), np.stack([s.target for s in batch])
+
+
+def _full_domain_draw(weights):
+    weights = np.asarray(weights, dtype=np.float64)
+    return BatchDraw(np.tile([FULL_DOMAIN.lo, FULL_DOMAIN.hi], (len(weights), 1)), weights, None)
 
 
 def test_init_deterministic():
@@ -123,6 +134,38 @@ def test_probability_is_sigmoid_open_interval():
     assert prob.min() > 0.0 and prob.max() < 1.0
 
 
+def test_forward_batch_accepts_interval_bounds_array():
+    params = init("mlp", DIMS, 4, hidden=5)
+    H = np.random.default_rng(5).uniform(0, 1, (3, 6, 2))
+    cells = [Interval(0.0, 0.25), Interval(0.25, 1.0), Interval(0.5, 0.5)]
+    bounds = np.array([(c.lo, c.hi) for c in cells])
+    for a, b in zip(forward_batch(params, H, cells), forward_batch(params, H, bounds)):
+        assert a.tobytes() == b.tobytes()
+
+
+def _two_branch_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_two_branch_form_bitwise():
+    rng = np.random.default_rng(17)
+    cases = [
+        np.array([750.0, -750.0, 0.0, -0.0, 709.0, -709.0, 37.0, -37.0, 1e-300, -1e-300]),
+        rng.normal(size=(32, 2400)),
+        rng.normal(scale=40.0, size=(7, 5, 3)),
+        rng.uniform(-800.0, 800.0, size=10_000),
+    ]
+    for z in cases:
+        got = _sigmoid(z)
+        assert got.shape == z.shape
+        assert got.tobytes() == _two_branch_sigmoid(z).tobytes()
+
+
 def test_moving_average_constant_and_length():
     x = np.full((2, 10, 3), 1.7)
     out = moving_average(x, 5)
@@ -144,9 +187,9 @@ def test_moving_average_repeat_padding():
 def test_zero_weights_zero_gradient():
     rng = np.random.default_rng(7)
     batch = [_sample(rng) for _ in range(3)]
-    specs = [SampleLossSpec(FULL_DOMAIN, 0.0) for _ in batch]
+    draw = _full_domain_draw([0.0] * len(batch))
     params = init("mlp", DIMS, 2, hidden=5)
-    loss, grad = backward(params, batch, specs, 0.0)
+    loss, grad = backward(params, *_arrays(batch), draw, 0.0)
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros_like(grad))
 
@@ -157,8 +200,7 @@ def test_exact_fit_has_zero_subgradient():
     params.theta[:] = 0.0
     rng = np.random.default_rng(8)
     batch = [WindowSample(rng.uniform(0, 1, (6, 2)), np.zeros((3, 2)), 0)]
-    specs = [SampleLossSpec(FULL_DOMAIN, 1.0)]
-    loss, grad = backward(params, batch, specs, 0.0)
+    loss, grad = backward(params, *_arrays(batch), _full_domain_draw([1.0]), 0.0)
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros_like(grad))
 
@@ -173,8 +215,7 @@ def test_output_bias_gradient_matches_sign_rule():
     b2[: 3 * 2] = 0.9  # regression bias above every target
     rng = np.random.default_rng(9)
     batch = [WindowSample(rng.uniform(0, 1, (6, 2)), np.full((3, 2), 0.2), 0)]
-    specs = [SampleLossSpec(FULL_DOMAIN, 0.5)]
-    loss, grad = backward(params, batch, specs, 0.0)
+    loss, grad = backward(params, *_arrays(batch), _full_domain_draw([0.5]), 0.0)
     assert loss == pytest.approx(0.5 * 0.7)
     expected = 0.5 * 1.0 / 6.0
     assert np.allclose(grad[-d_out : -d_out + 6], expected)
@@ -185,16 +226,15 @@ def test_backward_raises_on_nonfinite_sample():
     rng = np.random.default_rng(10)
     bad = WindowSample(rng.uniform(0, 1, (6, 2)), np.full((3, 2), np.nan), 0)
     good = _sample(rng)
-    specs = [SampleLossSpec(FULL_DOMAIN, 1.0), SampleLossSpec(FULL_DOMAIN, 1.0)]
     with pytest.raises(NumericError) as err:
-        backward(params, [good, bad], specs, 0.0)
+        backward(params, *_arrays([good, bad]), _full_domain_draw([1.0, 1.0]), 0.0)
     assert "sample 1" in str(err.value)
 
 
 def test_backward_rejects_empty_batch():
     params = init("mlp", DIMS, 2, hidden=5)
     with pytest.raises(Exception):
-        backward(params, [], [], 0.0)
+        backward(params, np.empty((0, 6, 2)), np.empty((0, 3, 2)), _full_domain_draw([]), 0.0)
 
 
 @pytest.mark.parametrize("kind", ["mlp", "linear"])
@@ -204,11 +244,12 @@ def test_gradient_check_representative(kind):
     policy = PolicyConfig(
         "dstar", partition=DiscretePartition(4), nu=DecaySpec(2.0), phi=0.5
     )
-    specs = make_batch_losses(policy, batch, rng)
+    H, Y = _arrays(batch)
+    draw = draw_batch(policy, Y, rng)
     params = init(kind, DIMS, 12, hidden=5, kernel=3, use_covariate=True)
-    loss, grad = backward(params, batch, specs, 0.5)
+    loss, grad = backward(params, H, Y, draw, 0.5)
     assert loss > 0
-    f = lambda th: batch_loss(ModelParams(params.arch, th), batch, specs, 0.5)
+    f = lambda th: batch_loss(ModelParams(params.arch, th), H, Y, draw, 0.5)
     report = check_gradient(f, params.theta, grad, step=1e-5, tol=1e-5)
     assert report.passed
 

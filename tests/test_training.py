@@ -14,8 +14,8 @@ from intervalcast import (
     chrono_split,
     cosine_lr,
     generate_synthds,
+    draw_batch,
     load_checkpoint,
-    make_batch_losses,
     make_windows,
     masked_mae,
     save_checkpoint,
@@ -24,15 +24,20 @@ from intervalcast import (
 )
 from intervalcast.data import WindowSample
 from intervalcast.errors import ConfigError, TrainingError
-from intervalcast.intervals import INDICATOR, target_weight
+from intervalcast.intervals import INDICATOR, target_weights
 from intervalcast.models import backward, init
 from intervalcast.training import AdamwState, adamw_update
+from per_sample_draw import per_sample_draw
 
 
 def _synth_splits(w=12, tau=6, seed=0, noise=0.0):
     series = generate_synthds(seed, noise)
     samples = make_windows(series, WindowConfig(w, tau))
     return chrono_split(samples, SplitSpec(0.66, 0.17, 0.17))
+
+
+def _arrays(batch):
+    return np.stack([s.history for s in batch]), np.stack([s.target for s in batch])
 
 
 # ---------------------------------------------------------------- losses
@@ -95,9 +100,10 @@ def test_batch_losses_baseline_all_ones():
         WindowSample(rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (2, 1)), i)
         for i in range(5)
     ]
-    specs = make_batch_losses(PolicyConfig("b"), batch, rng)
-    assert all(s.weight == 1.0 and s.interval == FULL_DOMAIN for s in specs)
-    assert all(s.label is None for s in specs)
+    draw = draw_batch(PolicyConfig("b"), _arrays(batch)[1], rng)
+    assert np.all(draw.weight == 1.0)
+    assert np.all(draw.bounds == [FULL_DOMAIN.lo, FULL_DOMAIN.hi])
+    assert draw.labels is None
 
 
 def test_batch_losses_e2e_matches_hypothesis_membership():
@@ -108,18 +114,20 @@ def test_batch_losses_e2e_matches_hypothesis_membership():
     aligned = [s for s in samples if s.t_origin % 48 == 24]
     policy = PolicyConfig("e2e", task_interval=Interval(0.75, 1.0))
     rng = np.random.default_rng(1)
-    specs = make_batch_losses(policy, aligned, rng)
-    for sample, spec in zip(aligned, specs):
+    draw = draw_batch(policy, _arrays(aligned)[1], rng)
+    for sample, weight in zip(aligned, draw.weight):
         is_top = sample.target.min() >= 0.75
-        assert spec.weight == (1.0 if is_top else 0.0)
+        assert weight == (1.0 if is_top else 0.0)
 
 
 def test_batch_losses_e2e_weight_shares_indicator_path():
     rng = np.random.default_rng(2)
     batch = [WindowSample(rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (2, 1)), 0)]
     policy = PolicyConfig("e2e", task_interval=Interval(0.2, 0.8))
-    spec = make_batch_losses(policy, batch, rng)[0]
-    assert spec.weight == target_weight(batch[0].target, policy.task_interval, INDICATOR)
+    Y = _arrays(batch)[1]
+    draw = draw_batch(policy, Y, rng)
+    iv = policy.task_interval
+    assert draw.weight[0] == target_weights(Y, iv.lo, iv.hi, INDICATOR)[0]
 
 
 def test_batch_losses_dstar_inf_equals_d_weights():
@@ -134,16 +142,16 @@ def test_batch_losses_dstar_inf_equals_d_weights():
         for i in range(4)
     ]
     partition = DiscretePartition(4)
-    d_specs = make_batch_losses(PolicyConfig("d", partition=partition), batch, rng_a)
-    ds_specs = make_batch_losses(
+    Y = _arrays(batch)[1]
+    d_draw = draw_batch(PolicyConfig("d", partition=partition), Y, rng_a)
+    ds_draw = draw_batch(
         PolicyConfig("dstar", partition=partition, nu=DecaySpec(math.inf), phi=0.5),
-        batch,
+        Y,
         rng_b,
     )
-    for d, ds in zip(d_specs, ds_specs):
-        assert d.interval == ds.interval
-        assert d.weight == ds.weight
-        assert ds.label is not None and d.label is None
+    assert np.array_equal(d_draw.bounds, ds_draw.bounds)
+    assert np.array_equal(d_draw.weight, ds_draw.weight)
+    assert ds_draw.labels is not None and d_draw.labels is None
 
 
 def test_batch_losses_dstar_labels_are_entry_indicators():
@@ -152,10 +160,56 @@ def test_batch_losses_dstar_labels_are_entry_indicators():
     policy = PolicyConfig(
         "dstar", partition=DiscretePartition(2), nu=DecaySpec(5.0), phi=0.5
     )
-    spec = make_batch_losses(policy, batch, rng)[0]
+    draw = draw_batch(policy, _arrays(batch)[1], rng)
     t = batch[0].target
-    expected = ((t >= spec.interval.lo) & (t <= spec.interval.hi)).astype(float)
-    assert np.array_equal(spec.label, expected)
+    lo, hi = draw.bounds[0]
+    expected = ((t >= lo) & (t <= hi)).astype(float)
+    assert np.array_equal(draw.labels[0], expected)
+
+
+def _reference_targets():
+    # real windows: noisy synthetic targets with w=48, tau=24, plus a
+    # two-channel uniform batch so labels and products span channels
+    series = generate_synthds(0, 0.05)
+    windows = make_windows(series, WindowConfig(48, 24))
+    synth = np.stack([s.target for s in windows[:200]])
+    wide = np.random.default_rng(21).uniform(0, 1, (64, 5, 2))
+    return synth, wide
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        PolicyConfig("b"),
+        PolicyConfig("e2e", task_interval=Interval(0.75, 1.0)),
+        PolicyConfig("c", delta=0.2),
+        PolicyConfig("c", delta=0.0),
+        PolicyConfig("d", partition=DiscretePartition(4)),
+        PolicyConfig("d", partition=DiscretePartition(1)),
+        PolicyConfig("dstar", partition=DiscretePartition(8), nu=DecaySpec(37.0), phi=0.5),
+        PolicyConfig("dstar", partition=DiscretePartition(8), nu=DecaySpec(0.0), phi=0.5),
+        PolicyConfig("dstar", partition=DiscretePartition(4), nu=DecaySpec(math.inf), phi=0.5),
+    ],
+    ids=lambda p: p.label() + ("" if p.nu is None else f"-nu{p.nu.nu:g}"),
+)
+def test_draw_batch_matches_per_sample_reference(policy):
+    # the batched draw equals the one-sample-at-a-time reference bit for bit,
+    # batch after batch from one stream, and leaves the stream in the same place
+    rng_batched = np.random.default_rng(99)
+    rng_scalar = np.random.default_rng(99)
+    for targets in _reference_targets():
+        for start in range(0, len(targets), 32):
+            Y = targets[start : start + 32]
+            draw = draw_batch(policy, Y, rng_batched)
+            bounds, weights, labels = per_sample_draw(policy, Y, rng_scalar)
+            assert np.array_equal(draw.bounds, bounds)
+            assert np.array_equal(draw.weight, weights)
+            assert draw.weight.tobytes() == weights.tobytes()
+            if labels is None:
+                assert draw.labels is None
+            else:
+                assert draw.labels.tobytes() == labels.tobytes()
+            assert rng_batched.bit_generator.state == rng_scalar.bit_generator.state
 
 
 # ---------------------------------------------------------------- optimizer
@@ -175,6 +229,29 @@ def test_adamw_decoupled_decay_moves_toward_zero():
     assert np.allclose(theta, [0.95, -0.95])
 
 
+def test_adamw_update_matches_reference_formula_bitwise():
+    # the in-place update reproduces the textbook expression exactly
+    # (decoupled decay, Loshchilov & Hutter) over several steps
+    rng = np.random.default_rng(13)
+    theta = rng.normal(size=1000)
+    ref_theta, ref_m, ref_v = theta.copy(), np.zeros(1000), np.zeros(1000)
+    state = AdamwState.zeros(1000)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for step in range(1, 8):
+        grad = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=1000)
+        lr, wd = 1e-3 / step, 0.01 * step
+        adamw_update(state, theta, grad, lr, wd)
+        ref_m = b1 * ref_m + (1.0 - b1) * grad
+        ref_v = b2 * ref_v + (1.0 - b2) * grad * grad
+        m_hat = ref_m / (1.0 - b1 ** step)
+        v_hat = ref_v / (1.0 - b2 ** step)
+        ref_theta -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * ref_theta)
+        assert state.step == step
+        assert theta.tobytes() == ref_theta.tobytes()
+        assert state.m.tobytes() == ref_m.tobytes()
+        assert state.v.tobytes() == ref_v.tobytes()
+
+
 def test_loss_scale_property():
     # scaling every sample weight by c scales loss and gradient by c exactly
     rng = np.random.default_rng(5)
@@ -183,11 +260,12 @@ def test_loss_scale_property():
         for i in range(3)
     ]
     policy = PolicyConfig("b")
-    specs = make_batch_losses(policy, batch, rng)
+    H, Y = _arrays(batch)
+    draw = draw_batch(policy, Y, rng)
     params = init("mlp", (4, 2, 1), 0, hidden=3, use_covariate=False)
-    loss1, grad1 = backward(params, batch, specs, 0.0)
-    scaled = [type(s)(s.interval, 2.5 * s.weight, s.label) for s in specs]
-    loss2, grad2 = backward(params, batch, scaled, 0.0)
+    loss1, grad1 = backward(params, H, Y, draw, 0.0)
+    scaled = draw._replace(weight=2.5 * draw.weight)
+    loss2, grad2 = backward(params, H, Y, scaled, 0.0)
     assert loss2 == pytest.approx(2.5 * loss1, rel=1e-12)
     assert np.allclose(grad2, 2.5 * grad1, rtol=1e-12, atol=0)
 
@@ -198,12 +276,13 @@ def test_singleton_batch_loss_nonincreasing_first_steps():
     rng = np.random.default_rng(6)
     batch = [WindowSample(rng.uniform(0, 1, (8, 1)), rng.uniform(0.3, 0.7, (4, 1)), 0)]
     policy = PolicyConfig("b")
-    specs = make_batch_losses(policy, batch, rng)
+    H, Y = _arrays(batch)
+    draw = draw_batch(policy, Y, rng)
     params = init("linear", (8, 4, 1), 1, kernel=3, use_covariate=False)
     opt = AdamwState.zeros(params.theta.size)
     losses = []
     for _ in range(10):
-        loss, grad = backward(params, batch, specs, 0.0)
+        loss, grad = backward(params, H, Y, draw, 0.0)
         losses.append(loss)
         adamw_update(opt, params.theta, grad, 1e-3, 0.0)
     assert all(a >= b - 1e-15 for a, b in zip(losses, losses[1:]))
@@ -267,6 +346,17 @@ def test_train_error_carries_epoch_and_batch():
     assert "epoch 0" in str(err.value)
 
 
+def test_train_rejects_zero_training_signal():
+    # the unclipped noisy trace (as the library example builds it): no
+    # 24-step target lies inside one L=4 cell, so every indicator weight is
+    # 0 and training would only keep the random initialization
+    tr, va, _ = _synth_splits(w=48, tau=24, noise=0.05)
+    policy = PolicyConfig("d", partition=DiscretePartition(4))
+    with pytest.raises(TrainingError) as err:
+        train(policy, "mlp", tr, va, 0, epochs=2, hidden=4)
+    assert "D4" in str(err.value) and "epoch 0" in str(err.value)
+
+
 # ---------------------------------------------------------------- checkpoints
 
 
@@ -308,7 +398,6 @@ def test_validation_probe_partition_for_continuous_policy():
     # the continuous policy has no finite interval set, so validation uses a
     # fixed 4-cell probe partition; its loss must equal the hand-computed
     # mean over those cells
-    from intervalcast.intervals import target_weights
     from intervalcast.models import forward_batch
     from intervalcast.training import validation_loss
 
@@ -327,7 +416,7 @@ def test_validation_probe_partition_for_continuous_policy():
     cell_losses = []
     for cell in cells:
         reg, _ = forward_batch(params, H, [cell] * len(val))
-        weights = target_weights(Y, cell, INDICATOR)
+        weights = target_weights(Y, cell.lo, cell.hi, INDICATOR)
         cell_losses.append((weights * np.abs(reg - Y).mean(axis=(1, 2))).mean())
     assert got == pytest.approx(float(np.mean(cell_losses)), rel=1e-12)
 
