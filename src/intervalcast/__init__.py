@@ -60,29 +60,25 @@ from .intervals import (
     INDICATOR,
     Interval,
     UniformSampler,
-    decay_weight,
     intersecting,
     target_weights,
 )
 from .models import (
     BatchDraw,
-    DualForecast,
     ModelArch,
     ModelParams,
     backward,
-    forward,
     forward_batch,
     init,
 )
-from .numeric import GradCheckReport, check_gradient, matmul
+from .numeric import GradCheckReport, check_gradient
 from .patching import (
     PatchRequest,
     PatchTrace,
     STRATEGY_AVERAGE,
     STRATEGY_MAXCONF,
     forecast,
-    patch_average,
-    patch_maxconf,
+    patch,
 )
 from .training import (
     AdamwState,
@@ -92,11 +88,9 @@ from .training import (
     cosine_lr,
     draw_batch,
     load_checkpoint,
-    masked_mae,
     save_checkpoint,
     train,
     validation_loss,
-    weighted_bce,
 )
 
 __version__ = "0.1.0"

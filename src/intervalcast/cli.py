@@ -119,31 +119,21 @@ def _parse_sweep(text: str) -> tuple[str, list]:
     if param == "nu":
         return "nu", [_parse_nu(v) for v in values.split(",")]
     if param == "delta":
-        parts = values.split(":")
-        if len(parts) != 3:
-            raise ConfigError(
-                f"--sweep delta expects 'start:stop:count', got {values!r}"
-            )
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            raise ConfigError(f"bad delta sweep spec {values!r}") from None
-        if count < 1:
-            raise ConfigError("delta sweep count must be >= 1")
-        return "delta", [float(v) for v in np.linspace(start, stop, count)]
+        return "delta", [float(v) for v in _parse_thresholds(values, "--sweep delta")]
     raise ConfigError(f"unknown sweep parameter {param!r}, expected L, nu or delta")
 
 
-def _parse_thresholds(text: str) -> np.ndarray:
+def _parse_thresholds(text: str, flag: str = "--thresholds") -> np.ndarray:
+    """A 'start:stop:count' grid, as for ``--thresholds`` and ``--sweep delta=``."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"--thresholds expects 'start:stop:count', got {text!r}")
+        raise ConfigError(f"{flag} expects 'start:stop:count', got {text!r}")
     try:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise ConfigError(f"bad threshold spec {text!r}") from None
+        raise ConfigError(f"bad {flag} grid {text!r}") from None
     if count < 1:
-        raise ConfigError("threshold count must be >= 1")
+        raise ConfigError(f"{flag} grid count must be >= 1")
     return np.linspace(start, stop, count)
 
 
@@ -229,7 +219,7 @@ def _policy_from_args(args) -> PolicyConfig:
     partition = DiscretePartition(4 if args.L is None else args.L)
     if kind == "d":
         return PolicyConfig("d", partition=partition, weight_decay=args.weight_decay)
-    nu = _parse_nu(args.nu) if args.nu is not None else DecaySpec(math.inf)
+    nu = DecaySpec(math.inf) if args.nu is None else args.nu
     phi = 0.5 if args.phi is None else args.phi
     return PolicyConfig(
         "dstar", partition=partition, nu=nu, phi=phi, weight_decay=args.weight_decay
@@ -372,20 +362,10 @@ def cmd_sweep(args) -> int:
     train_s, val_s, test_s = _split_samples(series, cfg, _parse_split(args.split))
     test_series = _test_series(series, cfg, test_s)
 
-    def run_policy(value) -> PolicyConfig:
-        if param == "L":
-            nu = _parse_nu(args.nu) if args.nu is not None else DecaySpec(math.inf)
-            phi = 0.5 if args.phi is None else args.phi
-            return PolicyConfig("dstar", partition=DiscretePartition(value),
-                                nu=nu, phi=phi, weight_decay=args.weight_decay)
-        if param == "nu":
-            phi = 0.5 if args.phi is None else args.phi
-            return PolicyConfig("dstar", partition=DiscretePartition(4 if args.L is None else args.L),
-                                nu=value, phi=phi, weight_decay=args.weight_decay)
-        return PolicyConfig("c", delta=value, weight_decay=args.weight_decay)
-
+    kind = "c" if param == "delta" else "dstar"
     for value in values:
-        policy = run_policy(value)
+        swept = argparse.Namespace(**{**vars(args), "policy": kind, param: value})
+        policy = _policy_from_args(swept)
         strategies = (
             (STRATEGY_AVERAGE, STRATEGY_MAXCONF) if policy.kind == "dstar" else (STRATEGY_AVERAGE,)
         )
@@ -489,7 +469,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--interval", default=None, help="task interval 'lo,hi' (e2e)")
     p.add_argument("--delta", type=float, default=None, help="minimum interval length (c)")
     p.add_argument("--L", type=int, default=None, help="partition size (d, dstar)")
-    p.add_argument("--nu", default=None, help="decay rate or 'inf' (dstar)")
+    p.add_argument("--nu", type=_parse_nu, default=None, help="decay rate or 'inf' (dstar)")
     p.add_argument("--phi", type=float, default=None, help="classification weight (dstar)")
 
 

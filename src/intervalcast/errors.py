@@ -30,7 +30,7 @@ class ParseError(DataError):
 
 
 class FormatError(DataError):
-    """A CSV file violates the expected layout (ragged rows, no header)."""
+    """An input file violates its layout: a ragged or headerless CSV, a malformed checkpoint."""
 
 
 class TrainingError(IntervalcastError):

@@ -1,9 +1,9 @@
 """Per-interval masked MAE, cross-policy comparison tables, rolling evaluation.
 
 Masking is on the target value: an entry contributes to an interval's MAE
-only when the true value lies in that interval. Within a partition each
-entry belongs to exactly one cell (upper boundary exclusive except for the
-last cell ending at 1), so entry-weighted recombination of per-cell MAEs
+only when the true value lies in that interval, by the one membership rule
+of :func:`intervals.entries_inside`. Within a partition each entry belongs
+to exactly one cell, so entry-weighted recombination of per-cell MAEs
 reproduces the full-domain MAE exactly.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import TimeSeries, WindowConfig
 from .errors import ConfigError, DataError, DimensionError, RatioUndefinedError
-from .intervals import Interval
+from .intervals import Interval, entries_inside
 from .models import ModelParams
 from .patching import STRATEGY_AVERAGE, forecast
 from .training import PolicyConfig
@@ -43,19 +43,6 @@ class ComparisonRow:
     improvement_pct: float | None
 
 
-def interval_membership(targets: np.ndarray, interval: Interval) -> np.ndarray:
-    """Boolean mask of target entries inside the interval.
-
-    The upper boundary is exclusive except when the interval ends at the
-    domain maximum 1, so partition cells tile [0, 1] without double counting.
-    """
-    t = np.asarray(targets, dtype=np.float64)
-    mask = t >= interval.lo
-    if interval.hi >= 1.0:
-        return mask & (t <= interval.hi)
-    return mask & (t < interval.hi)
-
-
 def interval_mae(
     preds: np.ndarray,
     targets: np.ndarray,
@@ -71,7 +58,7 @@ def interval_mae(
     t = np.asarray(targets, dtype=np.float64)
     if p.shape != t.shape:
         raise DimensionError(f"shape mismatch {p.shape} vs {t.shape}")
-    mask = interval_membership(t, interval)
+    mask = entries_inside(t, interval.lo, interval.hi)
     covered = int(mask.sum())
     if covered == 0:
         return IntervalMetric(interval, None, 0, t.size)
@@ -158,28 +145,22 @@ def rolling_eval(
             f"test span {series.T} is shorter than w + tau = {cfg.w + cfg.tau}"
         )
     origins = range(cfg.w, series.T - cfg.tau + 1, cfg.tau)
-    covered_once = np.zeros(series.T, dtype=int)
+    targets = np.stack([series.values[o : o + cfg.tau] for o in origins])
+    bounds = np.array([(iv.lo, iv.hi) for iv in intervals]).reshape(-1, 2, 1, 1, 1)
+    inside = entries_inside(targets, bounds[:, 0], bounds[:, 1])  # (intervals, origins, tau, n)
     err_sums = np.zeros(len(intervals))
-    covered = np.zeros(len(intervals), dtype=int)
-    total = 0
-    for origin in origins:
+    for k, origin in enumerate(origins):
         history = series.values[origin - cfg.w : origin]
-        target = series.values[origin : origin + cfg.tau]
-        covered_once[origin : origin + cfg.tau] += 1
-        total += target.size
         for j, iv in enumerate(intervals):
             preds = forecast(params, policy, history, iv, strategy)
-            mask = interval_membership(target, iv)
-            covered[j] += int(mask.sum())
-            err_sums[j] += float(np.abs(preds - target)[mask].sum())
-    if covered_once.max() > 1:
-        raise DataError("rolling evaluation double-covered a target timestep")
+            err_sums[j] += float(np.abs(preds - targets[k])[inside[j, k]].sum())
+    covered = inside.sum(axis=(1, 2, 3))
     return [
         IntervalMetric(
             iv,
-            (err_sums[j] / covered[j]) * scale if covered[j] else None,
+            float(err_sums[j] / covered[j]) * scale if covered[j] else None,
             int(covered[j]),
-            total,
+            targets.size,
         )
         for j, iv in enumerate(intervals)
     ]

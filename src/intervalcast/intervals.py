@@ -1,10 +1,10 @@
 """Interval algebra for the conditioning covariate.
 
 Contains the two interval distributions (continuous with a minimum length,
-discrete over an equal-length partition), the exponential decay weight that
-softens the interval indicator, and the partition-intersection map used by
-the patching strategies. The draws themselves are batched in the training
-module.
+discrete over an equal-length partition), the one membership rule for
+target values, the exponential decay weight that softens the interval
+indicator, and the partition-intersection map used by the patching
+strategies. The draws themselves are batched in the training module.
 """
 
 from __future__ import annotations
@@ -23,7 +23,10 @@ _BOUNDARY_SHRINK = 1e-9
 
 @dataclass(frozen=True)
 class Interval:
-    """A closed sub-range ``[lo, hi]`` of the normalized value domain [0, 1]."""
+    """A sub-range ``[lo, hi]`` of the normalized value domain [0, 1].
+
+    Which target values lie inside it is decided by :func:`entries_inside`.
+    """
 
     lo: float
     hi: float
@@ -43,10 +46,6 @@ class Interval:
     @property
     def half_width(self) -> float:
         return (self.hi - self.lo) / 2.0
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
 
     def __str__(self) -> str:
         return f"[{self.lo:g}, {self.hi:g}]"
@@ -115,21 +114,19 @@ class DecaySpec:
 INDICATOR = DecaySpec(math.inf)
 
 
-def decay_weight(y: float, interval: Interval, spec: DecaySpec) -> float:
-    """exp(-nu * max(0, |y - midpoint| - half_width)); indicator at nu=inf."""
-    if math.isinf(spec.nu):
-        return 1.0 if interval.lo <= y <= interval.hi else 0.0
-    excess = max(0.0, abs(y - interval.midpoint) - interval.half_width)
-    return math.exp(-spec.nu * excess)
-
-
 def entries_inside(targets: np.ndarray, lo, hi) -> np.ndarray:
-    """Per-entry closed-interval membership ``lo <= y <= hi`` as booleans.
+    """Per-entry membership of target values in an interval, as booleans.
 
-    ``lo`` and ``hi`` are floats, or arrays that broadcast against
-    ``targets`` (shape (B, 1, 1) for one interval per sample).
+    The interval is half-open, ``lo <= y < hi``, except that one ending at
+    the domain maximum 1 is closed, so the cells of a partition hold every
+    value in [0, 1] exactly once. Training weights and labels, validation
+    and evaluation all use this rule. ``lo`` and ``hi`` are floats, or
+    arrays that broadcast against ``targets`` (shape (B, 1, 1) for one
+    interval per sample).
     """
-    return (targets >= lo) & (targets <= hi)
+    # no float lies between 1 and nextafter(1, 2), so y < upper is y <= 1 there
+    upper = np.where(hi >= 1.0, np.nextafter(hi, 2.0), hi)
+    return (targets >= lo) & (targets < upper)
 
 
 def target_weights(targets: np.ndarray, lo, hi, spec: DecaySpec) -> np.ndarray:
@@ -137,7 +134,8 @@ def target_weights(targets: np.ndarray, lo, hi, spec: DecaySpec) -> np.ndarray:
 
     ``targets`` has shape (B, tau, n); ``lo`` and ``hi`` are as in
     :func:`entries_inside`. The result has shape (B,). With nu=inf this is
-    the exact indicator of every entry lying in the closed interval.
+    the exact indicator of every entry lying inside the interval, by the
+    rule of :func:`entries_inside`.
     """
     t = np.asarray(targets, dtype=np.float64)
     if math.isinf(spec.nu):

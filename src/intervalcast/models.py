@@ -94,14 +94,6 @@ class BatchDraw(NamedTuple):
     labels: np.ndarray | None   # (B, tau, n) or None
 
 
-@dataclass
-class DualForecast:
-    """Regression predictions and in-interval probabilities, both tau x n."""
-
-    regression: np.ndarray
-    probability: np.ndarray
-
-
 def init(kind: str, dims: tuple[int, int, int], seed: int, *,
          hidden: int = 64, kernel: int = 25, use_covariate: bool = True) -> ModelParams:
     """Deterministic initialization: weights U[-s, s] with s = sqrt(1/fan_in), biases 0."""
@@ -219,7 +211,9 @@ def forward_batch(
     """Batched forward pass: (B, w, n) histories -> (B, tau, n) regression and probability.
 
     ``intervals`` is one :class:`Interval` per history, or their (B, 2)
-    array of (lo, hi) rows.
+    array of (lo, hi) rows. Architectures built with ``use_covariate=False``
+    (the interval-blind policies) pin the covariate to (0, 1); the
+    intervals then have no effect on the output.
     """
     cache = _forward(params, histories, intervals)
     return cache["reg"], cache["prob"]
@@ -242,20 +236,6 @@ def _forward(params: ModelParams, histories: np.ndarray,
     if arch.kind == KIND_MLP:
         return _forward_mlp(params, H, cov)
     return _forward_linear(params, H, cov)
-
-
-def forward(params: ModelParams, history: np.ndarray, interval: Interval) -> DualForecast:
-    """Deterministic single-sample forward pass.
-
-    Architectures built with ``use_covariate=False`` (the interval-blind
-    policies) pin the covariate to (0, 1); the interval argument then has no
-    effect on the output.
-    """
-    h = np.asarray(history, dtype=np.float64)
-    if h.ndim != 2:
-        raise DimensionError(f"history must be 2-D (w x n), got shape {h.shape}")
-    cache = _forward(params, h[None, ...], [interval])
-    return DualForecast(cache["reg"][0].copy(), cache["prob"][0].copy())
 
 
 def batch_loss(
@@ -317,6 +297,28 @@ def backward(
     return loss, grad
 
 
+def sample_losses(
+    reg: np.ndarray, prob: np.ndarray, targets: np.ndarray, draw: BatchDraw, phi: float
+) -> np.ndarray:
+    """Per-sample loss of (B, tau, n) outputs against (B, tau, n) targets.
+
+    Each sample's loss is its weighted MAE plus, when the draw has labels
+    and phi is non-zero, phi times its weighted binary cross entropy, with
+    probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP]. Training and
+    validation both compute their loss here. Raises :class:`NumericError`
+    naming the first sample whose loss is not finite.
+    """
+    losses = draw.weight * np.abs(reg - targets).mean(axis=(1, 2))
+    if draw.labels is not None and phi != 0.0:
+        p = np.clip(prob, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        bce = -(draw.labels * np.log(p) + (1.0 - draw.labels) * np.log1p(-p))
+        losses = losses + phi * (draw.weight * bce.mean(axis=(1, 2)))
+    if not np.all(np.isfinite(losses)):
+        bad = int(np.flatnonzero(~np.isfinite(losses))[0])
+        raise NumericError(f"non-finite loss at batch sample {bad}")
+    return losses
+
+
 def _loss_terms(params, histories, targets, draw, phi, cache_out):
     arch = params.arch
     Y = np.asarray(targets, dtype=np.float64)
@@ -332,36 +334,17 @@ def _loss_terms(params, histories, targets, draw, phi, cache_out):
         raise DimensionError(
             f"target shape {Y.shape[1:]} does not match (tau, n) = ({arch.tau}, {arch.n})"
         )
-    weights = draw.weight
     cache = _forward(params, histories, draw.bounds)
-    if cache_out is not None:
-        cache_out.update(cache)
-    per_entry = 1.0 / (arch.tau * arch.n)
-
-    resid = cache["reg"] - Y
-    reg_loss = weights * np.abs(resid).mean(axis=(1, 2))
-
-    labels = None
-    if draw.labels is not None and phi != 0.0:
-        labels = draw.labels
-        p = np.clip(cache["prob"], PROB_CLAMP, 1.0 - PROB_CLAMP)
-        bce = -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
-        cls_loss = weights * bce.mean(axis=(1, 2))
-    else:
-        cls_loss = np.zeros(B)
-
-    per_sample = reg_loss + phi * cls_loss
-    if not np.all(np.isfinite(per_sample)):
-        bad = int(np.flatnonzero(~np.isfinite(per_sample))[0])
-        raise NumericError(f"non-finite loss at batch sample {bad}")
-    loss = float(per_sample.mean())
+    loss = float(sample_losses(cache["reg"], cache["prob"], Y, draw, phi).mean())
     if cache_out is None:
         return loss, None, None
+    cache_out.update(cache)
 
-    scale = weights[:, None, None] * (per_entry / B)
-    dreg = scale * np.sign(resid)
-    if labels is not None:
-        dlogits = (phi * scale) * (cache["prob"] - labels)
+    per_entry = 1.0 / (arch.tau * arch.n)
+    scale = draw.weight[:, None, None] * (per_entry / B)
+    dreg = scale * np.sign(cache["reg"] - Y)
+    if draw.labels is not None and phi != 0.0:
+        dlogits = (phi * scale) * (cache["prob"] - draw.labels)
     else:
         dlogits = np.zeros_like(dreg)
     return loss, dreg, dlogits

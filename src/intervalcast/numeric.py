@@ -1,9 +1,7 @@
-"""Dense float64 matrix helpers and a finite-difference gradient checker.
+"""Finite-difference gradient checker.
 
-All numerical work in the package runs on C-contiguous float64 arrays;
-``Matrix`` is an alias for a 2-D ``numpy.ndarray``. Gradients of every
-model/loss pair are hand-derived and validated against central finite
-differences via :func:`check_gradient`.
+Gradients of every model/loss pair are hand-derived and validated against
+central finite differences via :func:`check_gradient`.
 """
 
 from __future__ import annotations
@@ -15,31 +13,9 @@ import numpy as np
 
 from .errors import DimensionError, NumericError
 
-Matrix = np.ndarray  # 2-D, float64, row-major
-
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_FD_TOL = 1e-5
 _REL_ERR_FLOOR = 1e-8
-
-
-def as_matrix(values) -> Matrix:
-    """Coerce ``values`` to a C-contiguous float64 2-D array."""
-    m = np.ascontiguousarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return m
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product with explicit shape validation."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by "
-            f"{b.shape[0]}x{b.shape[1]}: inner dimensions disagree"
-        )
-    return a @ b
 
 
 @dataclass(frozen=True)

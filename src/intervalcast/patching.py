@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateConfidenceError, UnsupportedQueryError
 from .intervals import DiscretePartition, FULL_DOMAIN, Interval, intersecting
-from .models import ModelParams, forward, forward_batch
+from .models import ModelParams, forward_batch
 from .training import PolicyConfig
 
 STRATEGY_AVERAGE = "avg"
@@ -42,11 +42,15 @@ class PatchRequest:
 
 @dataclass
 class PatchTrace:
-    """Diagnostic record of one patching call."""
+    """Diagnostic record of one patching call, as computed.
+
+    ``confidences`` is (k,) and ``predictions`` (k, tau, n), one row per
+    cell in ``cells``.
+    """
 
     cells: list[Interval]
-    confidences: list[float]
-    predictions: list[np.ndarray]
+    confidences: np.ndarray
+    predictions: np.ndarray
     final: np.ndarray
 
 
@@ -59,14 +63,14 @@ def _cell_outputs(
     return reg, prob.mean(axis=(1, 2))
 
 
-def patch_average(
-    params: ModelParams, request: PatchRequest
-) -> tuple[np.ndarray, PatchTrace]:
-    """Confidence-weighted average of the intersecting cells' predictions.
+def patch(params: ModelParams, request: PatchRequest) -> tuple[np.ndarray, PatchTrace]:
+    """Compose the outputs of the partition cells that intersect the query.
 
-    The result is clamped to the contributing cells' per-entry min/max
-    envelope, which the exact weighted mean lies in; the clamp only guards
-    against float rounding at the envelope boundary.
+    With ``avg`` the result is the confidence-weighted average of the cells'
+    predictions, clamped to their per-entry min/max envelope, which the
+    exact weighted mean lies in; the clamp only guards against float
+    rounding at the envelope boundary. With ``max`` it is the prediction of
+    the single highest-confidence cell; ties go to the lower cell.
     """
     cells = intersecting(request.partition, request.query)
     reg, conf = _cell_outputs(params, request.history, cells)
@@ -75,28 +79,30 @@ def patch_average(
             f"no cell claims the input for query {request.query}: "
             f"all confidences <= {CONFIDENCE_FLOOR}"
         )
-    weights = conf / conf.sum()
-    pred = (weights[:, None, None] * reg).sum(axis=0)
-    pred = np.clip(pred, reg.min(axis=0), reg.max(axis=0))
-    trace = PatchTrace(cells, [float(c) for c in conf], list(reg), pred)
-    return pred, trace
+    if request.strategy == STRATEGY_AVERAGE:
+        weights = conf / conf.sum()
+        pred = (weights[:, None, None] * reg).sum(axis=0)
+        pred = np.clip(pred, reg.min(axis=0), reg.max(axis=0))
+    else:
+        pred = reg[int(np.argmax(conf))].copy()  # argmax returns the first (lowest) cell on ties
+    return pred, PatchTrace(cells, conf, reg, pred)
 
 
-def patch_maxconf(
-    params: ModelParams, request: PatchRequest
-) -> tuple[np.ndarray, PatchTrace]:
-    """Prediction of the single highest-confidence cell; ties go to the lower cell."""
-    cells = intersecting(request.partition, request.query)
-    reg, conf = _cell_outputs(params, request.history, cells)
-    if conf.max() <= CONFIDENCE_FLOOR:
-        raise DegenerateConfidenceError(
-            f"no cell claims the input for query {request.query}: "
-            f"all confidences <= {CONFIDENCE_FLOOR}"
+def _served_cell(policy: PolicyConfig, query: Interval) -> Interval:
+    """The one interval a policy without patching conditions on to serve ``query``."""
+    if policy.kind == "b":
+        return FULL_DOMAIN
+    if policy.kind == "e2e" and query != policy.task_interval:
+        raise UnsupportedQueryError(
+            f"task-specific model trained for {policy.task_interval} "
+            f"cannot serve query {query}"
         )
-    idx = int(np.argmax(conf))  # argmax returns the first (lowest) cell on ties
-    pred = reg[idx].copy()
-    trace = PatchTrace(cells, [float(c) for c in conf], list(reg), pred)
-    return pred, trace
+    if policy.kind == "d" and query not in policy.partition.intervals:
+        raise UnsupportedQueryError(
+            f"query {query} is not a training cell of the L={policy.partition.L} "
+            f"partition; train the dstar policy for arbitrary intervals"
+        )
+    return query
 
 
 def forecast(
@@ -113,27 +119,7 @@ def forecast(
     query; the discretized policy serves exact partition cells only; the
     patching-augmented policy composes cells with the requested strategy.
     """
-    kind = policy.kind
-    if kind == "b":
-        return forward(params, history, FULL_DOMAIN).regression
-    if kind == "e2e":
-        if query != policy.task_interval:
-            raise UnsupportedQueryError(
-                f"task-specific model trained for {policy.task_interval} "
-                f"cannot serve query {query}"
-            )
-        return forward(params, history, query).regression
-    if kind == "c":
-        return forward(params, history, query).regression
-    if kind == "d":
-        for cell in policy.partition.intervals:
-            if cell == query:
-                return forward(params, history, cell).regression
-        raise UnsupportedQueryError(
-            f"query {query} is not a training cell of the L={policy.partition.L} "
-            f"partition; train the dstar policy for arbitrary intervals"
-        )
-    request = PatchRequest(history, query, policy.partition, strategy)
-    if strategy == STRATEGY_AVERAGE:
-        return patch_average(params, request)[0]
-    return patch_maxconf(params, request)[0]
+    if policy.kind == "dstar":
+        return patch(params, PatchRequest(history, query, policy.partition, strategy))[0]
+    reg, _ = _cell_outputs(params, history, [_served_cell(policy, query)])
+    return reg[0]

@@ -1,4 +1,4 @@
-"""Training policies, masked losses, AdamW with cosine annealing, checkpoints.
+"""Training policies, batch draws, validation, AdamW with cosine annealing, checkpoints.
 
 Five policies share one loop; they differ only in how each sample's
 conditioning interval, loss weight, and (for the patching-augmented policy)
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import WindowSample
-from .errors import ConfigError, NumericError, TrainingError
+from .errors import ConfigError, FormatError, NumericError, TrainingError
 from .intervals import (
     INDICATOR,
     FULL_DOMAIN,
@@ -44,6 +44,7 @@ from .models import (
     backward,
     forward_batch,
     init,
+    sample_losses,
 )
 
 POLICY_KINDS = ("b", "e2e", "c", "d", "dstar")
@@ -122,24 +123,6 @@ class PolicyConfig:
         return f"Dstar{self.partition.L}"
 
 
-def masked_mae(pred: np.ndarray, target: np.ndarray, weight: float) -> float:
-    """weight * mean(|pred - target|); the unmasked baseline uses weight 1."""
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ConfigError(f"shape mismatch {p.shape} vs {t.shape}")
-    return float(weight * np.abs(p - t).mean())
-
-
-def weighted_bce(prob: np.ndarray, label: np.ndarray, weight: float) -> float:
-    """weight * mean binary cross entropy, probabilities clamped away from {0, 1}."""
-    p = np.clip(np.asarray(prob, dtype=np.float64), 1e-12, 1.0 - 1e-12)
-    y = np.asarray(label, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ConfigError(f"shape mismatch {p.shape} vs {y.shape}")
-    return float(weight * (-(y * np.log(p) + (1.0 - y) * np.log1p(-p))).mean())
-
-
 def draw_batch(
     policy: PolicyConfig, targets: np.ndarray, rng: np.random.Generator
 ) -> BatchDraw:
@@ -155,27 +138,37 @@ def draw_batch(
     B = len(Y)
     if B == 0:
         raise ConfigError("batch must be non-empty")
-    if policy.kind in ("b", "e2e"):
-        iv = FULL_DOMAIN if policy.kind == "b" else policy.task_interval
-        bounds = np.tile(np.array([iv.lo, iv.hi]), (B, 1))
-        if policy.kind == "b":
-            return BatchDraw(bounds, np.ones(B), None)
-        return BatchDraw(bounds, target_weights(Y, iv.lo, iv.hi, INDICATOR), None)
     if policy.kind == "c":
         u = rng.random((B, 2))
         lo = (1.0 - policy.delta) * u[:, 0]
         hi_min = lo + policy.delta
         hi = hi_min + (1.0 - hi_min) * u[:, 1]
         bounds = np.minimum(np.stack([lo, hi], axis=1), 1.0)
-    else:
+    elif policy.kind in ("d", "dstar"):
         cells = np.array([(c.lo, c.hi) for c in policy.partition.intervals])
         bounds = cells[rng.integers(0, policy.partition.L, size=B)]
+    else:
+        iv = FULL_DOMAIN if policy.kind == "b" else policy.task_interval
+        bounds = np.tile(np.array([iv.lo, iv.hi]), (B, 1))
     lo = bounds[:, 0, None, None]
     hi = bounds[:, 1, None, None]
+    return BatchDraw(bounds, *_loss_shaping(policy, Y, lo, hi))
+
+
+def _loss_shaping(
+    policy: PolicyConfig, targets: np.ndarray, lo, hi
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The policy's per-sample loss weights and, for ``dstar``, per-entry labels.
+
+    ``lo`` and ``hi`` bound the conditioning interval, as floats or as
+    (B, 1, 1) arrays (see :func:`intervals.entries_inside`).
+    """
+    if policy.kind == "b":
+        return np.ones(len(targets)), None
     if policy.kind != "dstar":
-        return BatchDraw(bounds, target_weights(Y, lo, hi, INDICATOR), None)
-    labels = entries_inside(Y, lo, hi).astype(np.float64)
-    return BatchDraw(bounds, target_weights(Y, lo, hi, policy.nu), labels)
+        return target_weights(targets, lo, hi, INDICATOR), None
+    labels = entries_inside(targets, lo, hi).astype(np.float64)
+    return target_weights(targets, lo, hi, policy.nu), labels
 
 
 def cosine_lr(epoch: int, n_epochs: int, lr_max: float = LR_MAX, lr_min: float = LR_MIN) -> float:
@@ -266,31 +259,22 @@ def _validation_intervals(policy: PolicyConfig) -> tuple[Interval, ...]:
 def validation_loss(
     params: ModelParams, policy: PolicyConfig, val_samples: Sequence[WindowSample]
 ) -> float:
-    """Mean over the policy's intervals of the masked loss conditioned on each.
+    """Mean over the policy's intervals of the loss conditioned on each.
 
-    The per-sample loss matches the training objective of the policy
-    (indicator or decay weighting, plus the phi-scaled classification term
-    for the patching-augmented policy). The baseline simply averages the
-    unmasked MAE.
+    The per-sample loss is the training objective of the policy
+    (:func:`models.sample_losses` on the weights and labels that
+    :func:`draw_batch` gives a sample conditioned on that interval). The
+    baseline simply averages the unmasked MAE.
     """
     H = np.stack([s.history for s in val_samples])
     Y = np.stack([s.target for s in val_samples])
-    spec = policy.nu if policy.kind == "dstar" else INDICATOR
     phi = policy.effective_phi
     cell_losses = []
     for iv in _validation_intervals(policy):
         bounds = np.tile(np.array([iv.lo, iv.hi]), (len(val_samples), 1))
         reg, prob = forward_batch(params, H, bounds)
-        if policy.kind == "b":
-            weights = np.ones(len(val_samples))
-        else:
-            weights = target_weights(Y, iv.lo, iv.hi, spec)
-        losses = weights * np.abs(reg - Y).mean(axis=(1, 2))
-        if phi != 0.0:
-            labels = entries_inside(Y, iv.lo, iv.hi).astype(np.float64)
-            p = np.clip(prob, 1e-12, 1.0 - 1e-12)
-            bce = -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
-            losses = losses + phi * weights * bce.mean(axis=(1, 2))
+        draw = BatchDraw(bounds, *_loss_shaping(policy, Y, iv.lo, iv.hi))
+        losses = sample_losses(reg, prob, Y, draw, phi)
         cell_losses.append(float(losses.mean()))
     return float(np.mean(cell_losses))
 
@@ -357,7 +341,10 @@ def train(
                 f"so no training target lies near enough to its interval to give a gradient"
             )
         train_loss = float(np.mean(batch_losses))
-        val_loss = validation_loss(params, policy, val_samples)
+        try:
+            val_loss = validation_loss(params, policy, val_samples)
+        except NumericError as exc:
+            raise TrainingError(f"epoch {epoch}, validation: {exc}") from exc
         report.epochs.append(EpochRecord(epoch, train_loss, val_loss, lr))
         if val_loss < best_val:
             best_val = val_loss
@@ -437,20 +424,29 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamwState, PolicyConfig]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(
-            f"unsupported checkpoint version {doc.get('version')!r} in {path}"
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    A file that is not valid JSON, or that lacks a field or holds one of
+    the wrong type (a list in place of an object, say), raises
+    :class:`FormatError` naming the file.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if doc.get("version") != CHECKPOINT_VERSION:
+            raise ConfigError(
+                f"unsupported checkpoint version {doc.get('version')!r} in {path}"
+            )
+        a = doc["arch"]
+        arch = ModelArch(
+            kind=a["kind"], w=a["w"], tau=a["tau"], n=a["n"],
+            hidden=a["hidden"], kernel=a["kernel"], use_covariate=a["use_covariate"],
         )
-    a = doc["arch"]
-    arch = ModelArch(
-        kind=a["kind"], w=a["w"], tau=a["tau"], n=a["n"],
-        hidden=a["hidden"], kernel=a["kernel"], use_covariate=a["use_covariate"],
-    )
-    params = ModelParams(arch, np.array(doc["theta"], dtype=np.float64))
-    o = doc["optimizer"]
-    opt = AdamwState(o["step"], np.array(o["m"]), np.array(o["v"]))
-    return params, opt, _policy_from_doc(doc["policy"])
+        params = ModelParams(arch, np.array(doc["theta"], dtype=np.float64))
+        o = doc["optimizer"]
+        opt = AdamwState(o["step"], np.array(o["m"]), np.array(o["v"]))
+        return params, opt, _policy_from_doc(doc["policy"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed checkpoint: {type(exc).__name__}: {exc}") from exc
 
 
 def write_report_csv(path: str | Path, report: TrainReport) -> None:

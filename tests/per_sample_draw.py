@@ -24,18 +24,23 @@ def sample_discrete(partition, rng: np.random.Generator) -> Interval:
     return partition.intervals[int(rng.integers(0, partition.L))]
 
 
+def _inside(t: np.ndarray, interval: Interval) -> np.ndarray:
+    """Half-open membership, lo <= y < hi, with the cell ending at 1 closed."""
+    upper = t <= interval.hi if interval.hi >= 1.0 else t < interval.hi
+    return (t >= interval.lo) & upper
+
+
 def target_weight(target: np.ndarray, interval: Interval, spec) -> float:
     t = np.asarray(target, dtype=np.float64)[None, ...]
     if math.isinf(spec.nu):
-        inside = (t >= interval.lo) & (t <= interval.hi)
+        inside = _inside(t, interval)
         return float(inside.all(axis=(1, 2)).astype(np.float64)[0])
     excess = np.maximum(0.0, np.abs(t - interval.midpoint) - interval.half_width)
     return float(np.exp(-spec.nu * excess).prod(axis=(1, 2))[0])
 
 
 def entry_labels(target: np.ndarray, interval: Interval) -> np.ndarray:
-    t = np.asarray(target, dtype=np.float64)
-    return ((t >= interval.lo) & (t <= interval.hi)).astype(np.float64)
+    return _inside(np.asarray(target, dtype=np.float64), interval).astype(np.float64)
 
 
 def per_sample_draw(policy, targets, rng: np.random.Generator):

@@ -13,6 +13,7 @@ tolerance. See the decisions ledger for the full analysis and measurements.
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ from intervalcast import (
 from intervalcast.cli import main
 from intervalcast.data import WindowSample, synth_hypothesis
 from intervalcast.evaluation import interval_mae
-from intervalcast.models import ModelParams, backward, batch_loss, init
-from intervalcast.patching import PatchRequest, forecast, patch_average, patch_maxconf
+from intervalcast.intervals import target_weights
+from intervalcast.models import ModelParams, backward, batch_loss, forward_batch, init
+from intervalcast.patching import PatchRequest, forecast, patch
 from intervalcast.training import draw_batch
 
 DATA_SEED = 15       # fixed trace seed; all four hypotheses appear in the
@@ -87,11 +89,17 @@ def _fresh_windows(samples):
     return [s for s in samples if s.t_origin % 48 == 24]
 
 
+def _predict(params, history, interval):
+    """Regression output of one history conditioned on one interval."""
+    reg, _ = forward_batch(params, history[None], [interval])
+    return reg[0]
+
+
 # ---------------------------------------------------------------------------
 
 
 def test_criterion_1_decay_figure():
-    w = ic.decay_weight(0.375, Interval(0.0, 0.25), DecaySpec(37.0))
+    w = float(target_weights(np.full((1, 1, 1), 0.375), 0.0, 0.25, DecaySpec(37.0))[0])
     ok = 0.009 <= w <= 0.011
     _report(1, "decay weight reaches 1% at adjacent midpoint", ok, f"weight={w:.5f}")
     assert ok
@@ -113,12 +121,12 @@ def test_criterion_2_policy_separation():
         pb = _baseline(seed)
         pd, _ = _d4(seed)
         preds_b = np.stack(
-            [ic.forward(pb, s.history, FULL_DOMAIN).regression for s in fresh]
+            [_predict(pb, s.history, FULL_DOMAIN) for s in fresh]
         )
         distances.append(np.abs(preds_b[:, :, 0] - mean_curve).ravel())
         for cell in cells:
             preds_d = np.stack(
-                [ic.forward(pd, s.history, cell).regression for s in fresh]
+                [_predict(pd, s.history, cell) for s in fresh]
             )
             b_mae[cell].append(interval_mae(preds_b, targets, cell).mae)
             d_mae[cell].append(interval_mae(preds_d, targets, cell).mae)
@@ -175,13 +183,13 @@ def test_criterion_4_patching_contracts():
     cells_ok = envelope_ok = copy_ok = True
     for s in te[:50]:
         request = PatchRequest(s.history, query, policy.partition)
-        pred, trace = patch_average(params, request)
+        pred, trace = patch(params, request)
         cells_ok &= len(trace.cells) == 2
         regs = np.stack(trace.predictions)
         envelope_ok &= bool(
             np.all(pred >= regs.min(axis=0)) and np.all(pred <= regs.max(axis=0))
         )
-        pred_max, trace_max = patch_maxconf(params, request)
+        pred_max, trace_max = patch(params, replace(request, strategy="max"))
         copy_ok &= any(np.array_equal(pred_max, r) for r in trace_max.predictions)
     ok = cells_ok and envelope_ok and copy_ok
     _report(

@@ -110,6 +110,33 @@ def test_eval_builds_table(tmp_path):
     assert len(lines) == 6  # header + 4 cells + averaged row
     runs = (eval_dir / "eval_runs.csv").read_text().splitlines()
     assert runs[0].startswith("label,checkpoint,")
+    assert runs[0].split(",")[4] == "mae"
+    for row in runs[1:]:
+        mae = row.split(",")[4]
+        assert mae == "" or float(mae) >= 0.0, row  # a plain number, not np.float64(...)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing_key", "not_an_object"])
+def test_eval_malformed_checkpoint_names_file(tmp_path, capsys, damage):
+    ck_dir = tmp_path / "b"
+    assert main(["train", "--policy", "b", "--out", str(ck_dir)] + FAST_TRAIN) == 0
+    path = ck_dir / "checkpoint.json"
+    text = path.read_text()
+    if damage == "truncated":
+        path.write_text(text[: len(text) // 2])
+    elif damage == "not_an_object":
+        path.write_text("[]")
+    else:
+        doc = json.loads(text)
+        del doc["arch"]["kind"]
+        path.write_text(json.dumps(doc))
+    code = main([
+        "eval", "--checkpoints", str(path), "--noise-sd", "0", "--out", str(tmp_path / "eval"),
+    ])
+    assert code != 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: FormatError: {path}: malformed checkpoint")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_eval_requires_baseline(tmp_path, capsys):
@@ -134,6 +161,16 @@ def test_sweep_delta_axis(tmp_path):
     assert lines[0] == "param,value,seed,strategy,mae_avg"
     assert len(lines) == 4  # 3 delta values, one seed, avg strategy only
     assert (out / "sweep_summary.csv").exists()
+
+
+def test_sweep_partition_axis_takes_nu_flag(tmp_path):
+    out = tmp_path / "sweep"
+    code = main([
+        "sweep", "--sweep", "L=2", "--nu", "0", "--seeds", "0", "--out", str(out),
+    ] + FAST_TRAIN)
+    assert code == 0
+    rows = [line.split(",")[:4] for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert rows == [["L", "2", "0", "avg"], ["L", "2", "0", "max"]]  # dstar: both strategies
 
 
 def test_sweep_invalid_spec(tmp_path, capsys):

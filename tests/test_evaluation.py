@@ -14,7 +14,8 @@ from intervalcast import (
     write_table_csv,
 )
 from intervalcast.errors import ConfigError, DataError, RatioUndefinedError
-from intervalcast.evaluation import IntervalMetric, interval_membership
+from intervalcast.evaluation import IntervalMetric
+from intervalcast.intervals import entries_inside
 from intervalcast.models import init
 
 
@@ -59,9 +60,9 @@ def test_interval_mae_scale():
 def test_membership_upper_exclusive_except_last():
     cells = DiscretePartition(4).intervals
     t = np.array([[0.25], [1.0]])
-    assert not interval_membership(t, cells[0])[0, 0]  # 0.25 belongs to cell 2
-    assert interval_membership(t, cells[1])[0, 0]
-    assert interval_membership(t, cells[3])[1, 0]  # 1.0 belongs to the last cell
+    assert not entries_inside(t, cells[0].lo, cells[0].hi)[0, 0]  # 0.25 belongs to cell 2
+    assert entries_inside(t, cells[1].lo, cells[1].hi)[0, 0]
+    assert entries_inside(t, cells[3].lo, cells[3].hi)[1, 0]  # 1.0 belongs to the last cell
 
 
 def test_mask_partition_identity():

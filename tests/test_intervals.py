@@ -9,7 +9,6 @@ from intervalcast import (
     Interval,
     PolicyConfig,
     UniformSampler,
-    decay_weight,
     draw_batch,
     intersecting,
 )
@@ -107,20 +106,27 @@ def test_discrete_sampler_frequencies():
 # ---------------------------------------------------------------- decay weights
 
 
+def _weight(y, interval, spec):
+    """Decay weight of a single target value ``y`` for ``interval``."""
+    return float(target_weights(np.full((1, 1, 1), y), interval.lo, interval.hi, spec)[0])
+
+
 def test_decay_inside_is_one():
     for nu in (0.0, 1.0, 37.0, math.inf):
-        assert decay_weight(0.2, Interval(0.0, 0.25), DecaySpec(nu)) == 1.0
+        assert _weight(0.2, Interval(0.0, 0.25), DecaySpec(nu)) == 1.0
 
 
 def test_decay_adjacent_midpoint_one_percent():
-    w = decay_weight(0.375, Interval(0.0, 0.25), DecaySpec(37.0))
+    w = _weight(0.375, Interval(0.0, 0.25), DecaySpec(37.0))
     assert w == pytest.approx(math.exp(-37 * 0.125))
     assert 0.009 <= w <= 0.011
 
 
 def test_decay_hard_indicator():
-    assert decay_weight(0.26, Interval(0.0, 0.25), DecaySpec(math.inf)) == 0.0
-    assert decay_weight(0.25, Interval(0.0, 0.25), DecaySpec(math.inf)) == 1.0
+    assert _weight(0.26, Interval(0.0, 0.25), DecaySpec(math.inf)) == 0.0
+    # cells are half-open: the boundary value 0.25 belongs to the next cell only
+    assert _weight(0.25, Interval(0.0, 0.25), DecaySpec(math.inf)) == 0.0
+    assert _weight(0.25, Interval(0.25, 0.5), DecaySpec(math.inf)) == 1.0
 
 
 def test_decay_monotone_in_nu():
@@ -131,7 +137,7 @@ def test_decay_monotone_in_nu():
         hi = rng.uniform(lo, 1)
         nu1, nu2 = sorted(rng.uniform(0, 60, 2))
         iv = Interval(lo, hi)
-        assert decay_weight(y, iv, DecaySpec(nu1)) >= decay_weight(y, iv, DecaySpec(nu2))
+        assert _weight(y, iv, DecaySpec(nu1)) >= _weight(y, iv, DecaySpec(nu2))
 
 
 def test_decay_spec_validation():

@@ -11,7 +11,6 @@ from intervalcast import (
     PolicyConfig,
     check_gradient,
     draw_batch,
-    forward,
     init,
 )
 from intervalcast.data import WindowSample
@@ -40,6 +39,12 @@ def _sample(rng, level=None):
 
 def _arrays(batch):
     return np.stack([s.history for s in batch]), np.stack([s.target for s in batch])
+
+
+def _forward(params, history, interval):
+    """Regression and probability of one history conditioned on one interval."""
+    reg, prob = forward_batch(params, history[None], [interval])
+    return reg[0], prob[0]
 
 
 def _full_domain_draw(weights):
@@ -75,9 +80,9 @@ def test_zero_mlp_outputs_bias_and_half_probability():
     params = init("mlp", DIMS, 0, hidden=4)
     params.theta[:] = 0.0
     rng = np.random.default_rng(0)
-    out = forward(params, rng.uniform(0, 1, (6, 2)), FULL_DOMAIN)
-    assert np.array_equal(out.regression, np.zeros((3, 2)))
-    assert np.array_equal(out.probability, np.full((3, 2), 0.5))
+    reg, prob = _forward(params, rng.uniform(0, 1, (6, 2)), FULL_DOMAIN)
+    assert np.array_equal(reg, np.zeros((3, 2)))
+    assert np.array_equal(prob, np.full((3, 2), 0.5))
 
 
 def test_linear_identity_weights_track_constant_history():
@@ -86,43 +91,43 @@ def test_linear_identity_weights_track_constant_history():
     params.theta[:] = 0.0
     views_wt = params.theta[: 6 * 8].reshape(6, 8)
     views_wt[:3, :6] = 1.0 / 6.0  # regression rows read the trend evenly
-    out = forward(params, np.full((6, 2), 0.37), FULL_DOMAIN)
-    assert np.abs(out.regression - 0.37).max() < 1e-12
+    reg, _ = _forward(params, np.full((6, 2), 0.37), FULL_DOMAIN)
+    assert np.abs(reg - 0.37).max() < 1e-12
 
 
 def test_forward_is_pure():
     params = init("mlp", DIMS, 1, hidden=5)
     rng = np.random.default_rng(2)
     hist = rng.uniform(0, 1, (6, 2))
-    a = forward(params, hist, Interval(0.2, 0.6))
-    b = forward(params, hist, Interval(0.2, 0.6))
-    assert np.array_equal(a.regression, b.regression)
-    assert np.array_equal(a.probability, b.probability)
+    a = _forward(params, hist, Interval(0.2, 0.6))
+    b = _forward(params, hist, Interval(0.2, 0.6))
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_covariate_changes_output():
     params = init("mlp", DIMS, 1, hidden=5, use_covariate=True)
     rng = np.random.default_rng(3)
     hist = rng.uniform(0, 1, (6, 2))
-    a = forward(params, hist, Interval(0.0, 0.25))
-    b = forward(params, hist, Interval(0.75, 1.0))
-    assert not np.array_equal(a.regression, b.regression)
+    a = _forward(params, hist, Interval(0.0, 0.25))
+    b = _forward(params, hist, Interval(0.75, 1.0))
+    assert not np.array_equal(a[0], b[0])
 
 
 def test_covariate_pinned_for_interval_blind_models():
     params = init("mlp", DIMS, 1, hidden=5, use_covariate=False)
     rng = np.random.default_rng(3)
     hist = rng.uniform(0, 1, (6, 2))
-    a = forward(params, hist, Interval(0.0, 0.25))
-    b = forward(params, hist, Interval(0.75, 1.0))
-    assert np.array_equal(a.regression, b.regression)
-    assert np.array_equal(a.probability, b.probability)
+    a = _forward(params, hist, Interval(0.0, 0.25))
+    b = _forward(params, hist, Interval(0.75, 1.0))
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_forward_shape_error():
     params = init("mlp", DIMS, 1, hidden=5)
     with pytest.raises(DimensionError):
-        forward(params, np.zeros((5, 2)), FULL_DOMAIN)
+        _forward(params, np.zeros((5, 2)), FULL_DOMAIN)
 
 
 def test_probability_is_sigmoid_open_interval():

@@ -11,50 +11,10 @@ from intervalcast import (
     chrono_split,
     generate_synthds,
     make_windows,
-    matmul,
 )
 from intervalcast.errors import DimensionError, NumericError
 from intervalcast.models import ModelParams, backward, batch_loss, init
 from intervalcast.training import draw_batch
-
-
-def test_matmul_identity():
-    out = matmul([[1.0, 0.0], [0.0, 1.0]], [[3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(out, [[3.0, 4.0], [5.0, 6.0]])
-
-
-def test_matmul_dot_product():
-    assert np.array_equal(matmul([[1.0, 2.0]], [[3.0], [4.0]]), [[11.0]])
-
-
-def test_matmul_matches_triple_loop():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(5, 7))
-    b = rng.normal(size=(7, 3))
-    expected = np.zeros((5, 3))
-    for i in range(5):
-        for j in range(3):
-            for k in range(7):
-                expected[i, j] += a[i, k] * b[k, j]
-    assert np.abs(matmul(a, b) - expected).max() < 1e-12
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(DimensionError) as err:
-        matmul(np.zeros((2, 3)), np.zeros((4, 5)))
-    assert "2x3" in str(err.value) and "4x5" in str(err.value)
-
-
-def test_matmul_associative_on_random_triples():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        a = rng.uniform(-1, 1, (4, 5))
-        b = rng.uniform(-1, 1, (5, 6))
-        c = rng.uniform(-1, 1, (6, 3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        rel = np.abs(left - right).max() / max(np.abs(left).max(), 1e-30)
-        assert rel < 1e-10
 
 
 def test_check_gradient_quadratic():

@@ -17,15 +17,13 @@ from intervalcast import (
     draw_batch,
     load_checkpoint,
     make_windows,
-    masked_mae,
     save_checkpoint,
     train,
-    weighted_bce,
 )
 from intervalcast.data import WindowSample
 from intervalcast.errors import ConfigError, TrainingError
 from intervalcast.intervals import INDICATOR, target_weights
-from intervalcast.models import backward, init
+from intervalcast.models import BatchDraw, backward, init, sample_losses
 from intervalcast.training import AdamwState, adamw_update
 from per_sample_draw import per_sample_draw
 
@@ -41,6 +39,18 @@ def _arrays(batch):
 
 
 # ---------------------------------------------------------------- losses
+
+
+def masked_mae(pred, target, weight):
+    """One sample's regression loss from the shared loss kernel."""
+    draw = BatchDraw(np.array([[0.0, 1.0]]), np.array([weight]), None)
+    return float(sample_losses(pred[None], None, target[None], draw, 0.0)[0])
+
+
+def weighted_bce(prob, label, weight):
+    """One sample's classification loss (phi = 1, exact regression) from the kernel."""
+    draw = BatchDraw(np.array([[0.0, 1.0]]), np.array([weight]), label[None])
+    return float(sample_losses(label[None], prob[None], label[None], draw, 1.0)[0])
 
 
 def test_masked_mae_values():
@@ -436,3 +446,34 @@ def test_validation_baseline_is_unmasked_mae():
     Y = np.stack([s.target for s in val])
     reg, _ = forward_batch(params, H, [FULL_DOMAIN] * len(val))
     assert got == pytest.approx(float(np.abs(reg - Y).mean(axis=(1, 2)).mean()), rel=1e-12)
+
+
+def test_training_and_evaluation_agree_on_cell_membership():
+    # a target exactly on the boundary 0.25 of an L=4 partition lies in one
+    # cell, [0.25, 0.5], for the indicator weight, the dstar label and the
+    # evaluation mask alike
+    from intervalcast.evaluation import interval_mae
+
+    partition = DiscretePartition(4)
+    Y = np.full((64, 3, 2), 0.25)
+    rng = np.random.default_rng(0)
+    d = draw_batch(PolicyConfig("d", partition=partition), Y, rng)
+    ds = draw_batch(
+        PolicyConfig("dstar", partition=partition, nu=DecaySpec(37.0), phi=0.5), Y, rng
+    )
+    for draw in (d, ds):
+        home = draw.bounds[:, 0] == 0.25
+        assert home.any() and not home.all()
+    assert np.array_equal(d.weight, (d.bounds[:, 0] == 0.25).astype(float))
+    home = ds.bounds[:, 0] == 0.25
+    assert np.all(ds.labels[home] == 1.0) and np.all(ds.labels[~home] == 0.0)
+    covered = [interval_mae(Y[0], Y[0], cell).covered_entries for cell in partition.intervals]
+    assert covered == [0, Y[0].size, 0, 0]
+
+
+def test_train_names_epoch_of_non_finite_validation_loss():
+    tr, va, _ = _synth_splits()
+    broken = list(va[:20])
+    broken[3] = WindowSample(np.full_like(broken[3].history, np.nan), broken[3].target, 0)
+    with pytest.raises(TrainingError, match="epoch 0, validation: non-finite loss at batch sample 3"):
+        train(PolicyConfig("b"), "mlp", tr[:64], broken, 0, epochs=2, hidden=4)
