@@ -11,7 +11,7 @@ from .data import (
     SplitSpec,
     TimeSeries,
     WindowConfig,
-    WindowSample,
+    Windows,
     chrono_split,
     denormalize,
     generate_synthds,

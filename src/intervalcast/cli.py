@@ -180,16 +180,14 @@ def _split_samples(series, cfg, split):
 
 def _test_series(series: TimeSeries, cfg: WindowConfig, test_samples) -> TimeSeries:
     """Contiguous sub-series whose target span is exactly the test samples'."""
-    first = test_samples[0].t_origin
-    last = test_samples[-1].t_origin
+    first, last = test_samples.t_origin[0], test_samples.t_origin[-1]
     values = series.values[first - cfg.w : last + cfg.tau]
     return TimeSeries(values, series.channel_names, series.domain_max)
 
 
-def _policy_from_args(args) -> PolicyConfig:
+def _warn_ignored_flags(args) -> None:
+    """One stderr warning per policy flag that ``args.policy`` does not take."""
     kind = args.policy
-    if kind is None:
-        raise ConfigError("--policy is required (flag or config file)")
     ignored = []
     if kind != "e2e" and args.interval is not None:
         ignored.append("--interval")
@@ -204,6 +202,12 @@ def _policy_from_args(args) -> PolicyConfig:
             ignored.append("--phi")
     for flag in ignored:
         print(f"warning: {flag} is ignored by the {kind} policy", file=sys.stderr)
+
+
+def _policy_from_args(args) -> PolicyConfig:
+    kind = args.policy
+    if kind is None:
+        raise ConfigError("--policy is required (flag or config file)")
     if kind == "b":
         return PolicyConfig("b", weight_decay=args.weight_decay)
     if kind == "e2e":
@@ -261,6 +265,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     policy = _policy_from_args(args)
+    _warn_ignored_flags(args)
     out = _out_dir(args)
     started = time.time()
     params, report, opt = _train_once(args, policy, args.seed)
@@ -363,9 +368,10 @@ def cmd_sweep(args) -> int:
     test_series = _test_series(series, cfg, test_s)
 
     kind = "c" if param == "delta" else "dstar"
-    for value in values:
-        swept = argparse.Namespace(**{**vars(args), "policy": kind, param: value})
-        policy = _policy_from_args(swept)
+    swept = [argparse.Namespace(**{**vars(args), "policy": kind, param: v}) for v in values]
+    _warn_ignored_flags(swept[0])  # the swept flag is never ignored, so once covers all
+    for value, value_args in zip(values, swept):
+        policy = _policy_from_args(value_args)
         strategies = (
             (STRATEGY_AVERAGE, STRATEGY_MAXCONF) if policy.kind == "dstar" else (STRATEGY_AVERAGE,)
         )

@@ -72,16 +72,31 @@ class WindowConfig:
 
 
 @dataclass(frozen=True)
-class WindowSample:
-    """One supervised pair: history (w x n) and target (tau x n).
+class Windows:
+    """Supervised pairs as aligned arrays: histories, targets and their origins.
 
-    ``t_origin`` is the index of the first target timestep, so the history
-    covers rows [t_origin - w, t_origin - 1] of the source series.
+    ``history`` is (N, w, n), ``target`` (N, tau, n) and ``t_origin`` (N,);
+    row k's origin is the index of its first target timestep, so its history
+    covers rows [t_origin[k] - w, t_origin[k] - 1] of the source series.
+    Indexing takes the same rows of all three: an integer gives one window
+    (a (w, n) history, a (tau, n) target, a scalar origin), and a slice,
+    mask or index array the aligned subset.
     """
 
     history: np.ndarray
     target: np.ndarray
-    t_origin: int
+    t_origin: np.ndarray
+
+    def __post_init__(self):
+        h, t, o = len(self.history), len(self.target), np.size(self.t_origin)
+        if np.ndim(self.t_origin) and not h == t == o:
+            raise DataError(f"misaligned windows: {h} histories, {t} targets, {o} origins")
+
+    def __len__(self) -> int:
+        return len(self.t_origin)
+
+    def __getitem__(self, key) -> "Windows":
+        return Windows(self.history[key], self.target[key], self.t_origin[key])
 
 
 @dataclass(frozen=True)
@@ -113,40 +128,36 @@ class ScaleRecord:
     clipped_entries: int
 
 
-def make_windows(series: TimeSeries, cfg: WindowConfig) -> list[WindowSample]:
-    """All (history, target) pairs at origins w, w+stride, ...
+def make_windows(series: TimeSeries, cfg: WindowConfig) -> Windows:
+    """All (history, target) pairs at origins w, w+stride, ..., as views of the series.
 
-    The number of samples is floor((T - w - tau) / stride) + 1.
+    The number of windows is floor((T - w - tau) / stride) + 1. No window
+    is copied: history and target are both slices of one strided view of
+    ``w + tau`` consecutive rows.
     """
     if series.T < cfg.w + cfg.tau:
         raise DataError(
             f"series length {series.T} is shorter than w + tau = {cfg.w + cfg.tau}"
         )
-    samples = []
-    for origin in range(cfg.w, series.T - cfg.tau + 1, cfg.stride):
-        samples.append(
-            WindowSample(
-                history=series.values[origin - cfg.w : origin],
-                target=series.values[origin : origin + cfg.tau],
-                t_origin=origin,
-            )
-        )
-    return samples
+    spans = np.lib.stride_tricks.sliding_window_view(
+        series.values, cfg.w + cfg.tau, axis=0
+    ).swapaxes(1, 2)[:: cfg.stride]  # (N, w + tau, n)
+    origins = np.arange(cfg.w, series.T - cfg.tau + 1, cfg.stride)
+    return Windows(spans[:, : cfg.w], spans[:, cfg.w :], origins)
 
 
-def chrono_split(
-    samples: list[WindowSample], spec: SplitSpec
-) -> tuple[list[WindowSample], list[WindowSample], list[WindowSample]]:
-    """Contiguous chronological partition of ``samples`` by origin.
+def chrono_split(samples: Windows, spec: SplitSpec) -> tuple[Windows, Windows, Windows]:
+    """Contiguous chronological partition of ``samples``, which are in origin order.
 
     Subset sizes are floors of fraction x total with the remainder assigned
     to test. Any empty subset is an error (early stopping needs validation
-    data and evaluation needs test data).
+    data and evaluation needs test data). The parts are views of ``samples``.
     """
-    if not samples:
+    total = len(samples)
+    if total == 0:
         raise DataError("cannot split an empty sample list")
-    ordered = sorted(samples, key=lambda s: s.t_origin)
-    total = len(ordered)
+    if np.any(np.diff(samples.t_origin) < 0):
+        raise DataError("windows to split must be in ascending origin order")
     n_train = int(spec.train_frac * total)
     n_val = int(spec.val_frac * total)
     n_test = total - n_train - n_val
@@ -156,9 +167,9 @@ def chrono_split(
             f"{n_train}/{n_val}/{n_test}; every subset must be non-empty"
         )
     return (
-        ordered[:n_train],
-        ordered[n_train : n_train + n_val],
-        ordered[n_train + n_val :],
+        samples[:n_train],
+        samples[n_train : n_train + n_val],
+        samples[n_train + n_val :],
     )
 
 

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import TimeSeries, WindowConfig
-from .errors import ConfigError, DataError, DimensionError, RatioUndefinedError
+from .data import TimeSeries, WindowConfig, make_windows
+from .errors import ConfigError, DimensionError, RatioUndefinedError
 from .intervals import Interval, entries_inside
 from .models import ModelParams
 from .patching import STRATEGY_AVERAGE, forecast
@@ -140,17 +140,12 @@ def rolling_eval(
     rolled span is forecast exactly once; per-interval absolute errors are
     pooled across rolls before averaging.
     """
-    if series.T < cfg.w + cfg.tau:
-        raise DataError(
-            f"test span {series.T} is shorter than w + tau = {cfg.w + cfg.tau}"
-        )
-    origins = range(cfg.w, series.T - cfg.tau + 1, cfg.tau)
-    targets = np.stack([series.values[o : o + cfg.tau] for o in origins])
+    rolls = make_windows(series, WindowConfig(cfg.w, cfg.tau, cfg.tau))
+    targets = rolls.target
     bounds = np.array([(iv.lo, iv.hi) for iv in intervals]).reshape(-1, 2, 1, 1, 1)
     inside = entries_inside(targets, bounds[:, 0], bounds[:, 1])  # (intervals, origins, tau, n)
     err_sums = np.zeros(len(intervals))
-    for k, origin in enumerate(origins):
-        history = series.values[origin - cfg.w : origin]
+    for k, history in enumerate(rolls.history):
         for j, iv in enumerate(intervals):
             preds = forecast(params, policy, history, iv, strategy)
             err_sums[j] += float(np.abs(preds - targets[k])[inside[j, k]].sum())

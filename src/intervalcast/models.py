@@ -238,18 +238,6 @@ def _forward(params: ModelParams, histories: np.ndarray,
     return _forward_linear(params, H, cov)
 
 
-def batch_loss(
-    params: ModelParams,
-    histories: np.ndarray,
-    targets: np.ndarray,
-    draw: BatchDraw,
-    phi: float,
-) -> float:
-    """Batch-mean loss only (shares every code path with :func:`backward`)."""
-    loss, _, _ = _loss_terms(params, histories, targets, draw, phi, cache_out=None)
-    return loss
-
-
 def backward(
     params: ModelParams,
     histories: np.ndarray,
@@ -266,13 +254,33 @@ def backward(
     the draw has labels and phi > 0) is weighted binary cross entropy
     scaled by phi.
     """
-    cache: dict = {}
-    loss, dreg, dlogits = _loss_terms(params, histories, targets, draw, phi, cache_out=cache)
     arch = params.arch
+    Y = np.asarray(targets, dtype=np.float64)
+    B = len(Y)
+    if B == 0:
+        raise DataError("batch must be non-empty")
+    if len(histories) != B or len(draw.weight) != B:
+        raise DimensionError(
+            f"{len(histories)} histories and {len(draw.weight)} loss weights "
+            f"for {B} targets"
+        )
+    if Y.shape[1:] != (arch.tau, arch.n):
+        raise DimensionError(
+            f"target shape {Y.shape[1:]} does not match (tau, n) = ({arch.tau}, {arch.n})"
+        )
+    cache = _forward(params, histories, draw.bounds)
+    loss = float(sample_losses(cache["reg"], cache["prob"], Y, draw, phi).mean())
+
+    per_entry = 1.0 / (arch.tau * arch.n)
+    scale = draw.weight[:, None, None] * (per_entry / B)
+    dreg = scale * np.sign(cache["reg"] - Y)
+    if draw.labels is not None and phi != 0.0:
+        dlogits = (phi * scale) * (cache["prob"] - draw.labels)
+    else:
+        dlogits = np.zeros_like(dreg)
     grad = np.zeros_like(params.theta)
     g = _unpack(arch, grad)
     if arch.kind == KIND_MLP:
-        B = dreg.shape[0]
         half = arch.tau * arch.n
         dO = np.empty((B, 2 * half))
         dO[:, :half] = dreg.reshape(B, half)
@@ -317,34 +325,3 @@ def sample_losses(
         bad = int(np.flatnonzero(~np.isfinite(losses))[0])
         raise NumericError(f"non-finite loss at batch sample {bad}")
     return losses
-
-
-def _loss_terms(params, histories, targets, draw, phi, cache_out):
-    arch = params.arch
-    Y = np.asarray(targets, dtype=np.float64)
-    B = len(Y)
-    if B == 0:
-        raise DataError("batch must be non-empty")
-    if len(histories) != B or len(draw.weight) != B:
-        raise DimensionError(
-            f"{len(histories)} histories and {len(draw.weight)} loss weights "
-            f"for {B} targets"
-        )
-    if Y.shape[1:] != (arch.tau, arch.n):
-        raise DimensionError(
-            f"target shape {Y.shape[1:]} does not match (tau, n) = ({arch.tau}, {arch.n})"
-        )
-    cache = _forward(params, histories, draw.bounds)
-    loss = float(sample_losses(cache["reg"], cache["prob"], Y, draw, phi).mean())
-    if cache_out is None:
-        return loss, None, None
-    cache_out.update(cache)
-
-    per_entry = 1.0 / (arch.tau * arch.n)
-    scale = draw.weight[:, None, None] * (per_entry / B)
-    dreg = scale * np.sign(cache["reg"] - Y)
-    if draw.labels is not None and phi != 0.0:
-        dlogits = (phi * scale) * (cache["prob"] - draw.labels)
-    else:
-        dlogits = np.zeros_like(dreg)
-    return loss, dreg, dlogits

@@ -21,11 +21,10 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .data import WindowSample
+from .data import Windows
 from .errors import ConfigError, FormatError, NumericError, TrainingError
 from .intervals import (
     INDICATOR,
@@ -143,7 +142,7 @@ def draw_batch(
         lo = (1.0 - policy.delta) * u[:, 0]
         hi_min = lo + policy.delta
         hi = hi_min + (1.0 - hi_min) * u[:, 1]
-        bounds = np.minimum(np.stack([lo, hi], axis=1), 1.0)
+        bounds = np.minimum(np.column_stack((lo, hi)), 1.0)
     elif policy.kind in ("d", "dstar"):
         cells = np.array([(c.lo, c.hi) for c in policy.partition.intervals])
         bounds = cells[rng.integers(0, policy.partition.L, size=B)]
@@ -257,7 +256,7 @@ def _validation_intervals(policy: PolicyConfig) -> tuple[Interval, ...]:
 
 
 def validation_loss(
-    params: ModelParams, policy: PolicyConfig, val_samples: Sequence[WindowSample]
+    params: ModelParams, policy: PolicyConfig, val_samples: Windows
 ) -> float:
     """Mean over the policy's intervals of the loss conditioned on each.
 
@@ -266,8 +265,7 @@ def validation_loss(
     :func:`draw_batch` gives a sample conditioned on that interval). The
     baseline simply averages the unmasked MAE.
     """
-    H = np.stack([s.history for s in val_samples])
-    Y = np.stack([s.target for s in val_samples])
+    H, Y = val_samples.history, val_samples.target
     phi = policy.effective_phi
     cell_losses = []
     for iv in _validation_intervals(policy):
@@ -282,8 +280,8 @@ def validation_loss(
 def train(
     policy: PolicyConfig,
     kind: str,
-    train_samples: Sequence[WindowSample],
-    val_samples: Sequence[WindowSample],
+    train_samples: Windows,
+    val_samples: Windows,
     seed: int,
     *,
     epochs: int = DEFAULT_EPOCHS,
@@ -305,8 +303,8 @@ def train(
         raise TrainingError("training and validation splits must be non-empty")
     if epochs < 1 or batch_size < 1 or patience < 1:
         raise ConfigError("epochs, batch_size and patience must be >= 1")
-    w, n = train_samples[0].history.shape
-    tau = train_samples[0].target.shape[0]
+    _, w, n = train_samples.history.shape
+    tau = train_samples.target.shape[1]
     params = init(kind, (w, tau, n), seed, hidden=hidden, kernel=kernel,
                   use_covariate=policy.uses_covariate)
     opt = AdamwState.zeros(params.theta.size)
@@ -324,13 +322,11 @@ def train(
         batch_losses = []
         weight_sum = 0.0
         for b, start in enumerate(range(0, len(order), batch_size)):
-            batch = [train_samples[i] for i in order[start : start + batch_size]]
-            H = np.stack([s.history for s in batch])
-            Y = np.stack([s.target for s in batch])
-            draw = draw_batch(policy, Y, loop_rng)
+            batch = train_samples[order[start : start + batch_size]]
+            draw = draw_batch(policy, batch.target, loop_rng)
             weight_sum += draw.weight.sum()
             try:
-                loss, grad = backward(params, H, Y, draw, phi)
+                loss, grad = backward(params, batch.history, batch.target, draw, phi)
             except NumericError as exc:
                 raise TrainingError(f"epoch {epoch}, batch {b}: {exc}") from exc
             adamw_update(opt, params.theta, grad, lr, policy.weight_decay)

@@ -30,10 +30,10 @@ from intervalcast import (
     WindowConfig,
 )
 from intervalcast.cli import main
-from intervalcast.data import WindowSample, synth_hypothesis
+from intervalcast.data import synth_hypothesis
 from intervalcast.evaluation import interval_mae
 from intervalcast.intervals import target_weights
-from intervalcast.models import ModelParams, backward, batch_loss, forward_batch, init
+from intervalcast.models import ModelParams, backward, forward_batch, init
 from intervalcast.patching import PatchRequest, forecast, patch
 from intervalcast.training import draw_batch
 
@@ -86,7 +86,7 @@ def _dstar4(seed: int):
 
 def _fresh_windows(samples):
     """Windows whose target is one full, previously unseen output segment."""
-    return [s for s in samples if s.t_origin % 48 == 24]
+    return samples[samples.t_origin % 48 == 24]
 
 
 def _predict(params, history, interval):
@@ -108,7 +108,7 @@ def test_criterion_1_decay_figure():
 def test_criterion_2_policy_separation():
     _, tr, va, te = _splits()
     fresh = _fresh_windows(te)
-    targets = np.stack([s.target for s in fresh])
+    targets = fresh.target
     cells = DiscretePartition(4).intervals
     for cell in cells:  # evaluation is meaningful only with full coverage
         assert interval_mae(targets, targets, cell).covered_entries > 0
@@ -235,18 +235,16 @@ def test_criterion_5_gradient_correctness():
             checked = attempts = 0
             while checked < 10 and attempts < 80:
                 attempts += 1
-                batch = []
+                histories, targets = [], []
                 for _ in range(4):
-                    hist = rng.uniform(0, 1, (dims[0], dims[2]))
+                    histories.append(rng.uniform(0, 1, (dims[0], dims[2])))
                     level = rng.uniform(0.05, 0.95)
-                    target = np.clip(
+                    targets.append(np.clip(
                         np.full((dims[1], dims[2]), level)
                         + rng.uniform(-0.02, 0.02, (dims[1], dims[2])),
                         0, 1,
-                    )
-                    batch.append(WindowSample(hist, target, 0))
-                H = np.stack([s.history for s in batch])
-                Y = np.stack([s.target for s in batch])
+                    ))
+                H, Y = np.stack(histories), np.stack(targets)
                 draw = draw_batch(policy, Y, rng)
                 params = init(
                     kind, dims, 2000 + attempts, hidden=5, kernel=3,
@@ -259,7 +257,7 @@ def test_criterion_5_gradient_correctness():
                 loss, grad = backward(params, H, Y, draw, phi)
                 if loss > 0:
                     nonzero_checks += 1
-                f = lambda th: batch_loss(ModelParams(params.arch, th), H, Y, draw, phi)
+                f = lambda th: backward(ModelParams(params.arch, th), H, Y, draw, phi)[0]
                 report = ic.check_gradient(f, params.theta, grad, step=1e-5, tol=1e-5)
                 if not report.passed:
                     failures.append((kind, name, checked, report.max_relative_error))

@@ -163,6 +163,17 @@ def test_sweep_delta_axis(tmp_path):
     assert (out / "sweep_summary.csv").exists()
 
 
+def test_sweep_warns_once_per_ignored_flag(tmp_path, capsys):
+    # the c policy ignores --L; three swept values still give one warning
+    code = main([
+        "sweep", "--sweep", "delta=0:0.4:3", "--L", "8", "--seeds", "0",
+        "--out", str(tmp_path),
+    ] + FAST_TRAIN)
+    assert code == 0
+    warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+    assert warnings == ["warning: --L is ignored by the c policy"]
+
+
 def test_sweep_partition_axis_takes_nu_flag(tmp_path):
     out = tmp_path / "sweep"
     code = main([

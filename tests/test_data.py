@@ -5,6 +5,7 @@ from intervalcast import (
     SplitSpec,
     TimeSeries,
     WindowConfig,
+    Windows,
     chrono_split,
     denormalize,
     generate_synthds,
@@ -61,6 +62,35 @@ def test_window_rows_match_series():
         assert np.array_equal(s.target, series.values[s.t_origin : s.t_origin + 3])
 
 
+def test_windows_are_views_of_the_series():
+    series = generate_synthds(0, 0.05)
+    windows = make_windows(series, WindowConfig(48, 24, stride=3))
+    assert np.shares_memory(windows.history, series.values)
+    assert np.shares_memory(windows.target, series.values)
+    for part in chrono_split(windows, SplitSpec(0.66, 0.17, 0.17)):
+        assert np.shares_memory(part.history, series.values)
+        assert np.shares_memory(part.target, series.values)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_window_gather_matches_series_slices(stride):
+    # an index-array batch pairs each origin's history and target rows
+    rng = np.random.default_rng(1)
+    series = _series(rng.uniform(size=(40, 3)))
+    windows = make_windows(series, WindowConfig(6, 4, stride=stride))
+    batch = windows[rng.permutation(len(windows))[:7]]
+    for history, target, o in zip(batch.history, batch.target, batch.t_origin):
+        assert np.array_equal(history, series.values[o - 6 : o])
+        assert np.array_equal(target, series.values[o : o + 4])
+
+
+def test_windows_reject_misaligned_arrays():
+    with pytest.raises(DataError, match="5 histories, 4 targets, 5 origins"):
+        Windows(np.zeros((5, 3, 1)), np.zeros((4, 2, 1)), np.arange(5))
+    with pytest.raises(DataError, match="5 histories, 5 targets, 6 origins"):
+        Windows(np.zeros((5, 3, 1)), np.zeros((5, 2, 1)), np.arange(6))
+
+
 def test_window_config_validation():
     with pytest.raises(ConfigError):
         WindowConfig(0, 2)
@@ -91,9 +121,16 @@ def test_split_rejects_empty_subset():
         chrono_split(_dummy_samples(3), SplitSpec(0.34, 0.33, 0.33))
 
 
+def test_split_rejects_unordered_windows():
+    windows = _dummy_samples(10)
+    shuffled = windows[np.array([1, 0, 2, 3, 4, 5, 6, 7, 8, 9])]
+    with pytest.raises(DataError, match="ascending origin order"):
+        chrono_split(shuffled, SplitSpec(0.5, 0.25, 0.25))
+
+
 def test_split_chronological_and_disjoint():
     train, val, test = chrono_split(_dummy_samples(50), SplitSpec(0.5, 0.25, 0.25))
-    origins = [s.t_origin for s in train + val + test]
+    origins = np.concatenate([train.t_origin, val.t_origin, test.t_origin]).tolist()
     assert origins == sorted(origins)
     assert len(set(origins)) == len(origins)
     assert train[-1].t_origin < val[0].t_origin < test[0].t_origin

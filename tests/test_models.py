@@ -9,18 +9,17 @@ from intervalcast import (
     FULL_DOMAIN,
     Interval,
     PolicyConfig,
+    Windows,
     check_gradient,
     draw_batch,
     init,
 )
-from intervalcast.data import WindowSample
 from intervalcast.errors import ConfigError, DimensionError, NumericError
 from intervalcast.models import (
     BatchDraw,
     ModelParams,
     _sigmoid,
     backward,
-    batch_loss,
     moving_average,
     forward_batch,
 )
@@ -34,11 +33,13 @@ def _sample(rng, level=None):
         target = rng.uniform(0, 1, (DIMS[1], DIMS[2]))
     else:
         target = np.full((DIMS[1], DIMS[2]), level)
-    return WindowSample(hist, target, 0)
+    return hist, target
 
 
-def _arrays(batch):
-    return np.stack([s.history for s in batch]), np.stack([s.target for s in batch])
+def _windows(pairs):
+    """Windows of (history, target) pairs, at origins 0, 1, ..."""
+    histories, targets = zip(*pairs)
+    return Windows(np.stack(histories), np.stack(targets), np.arange(len(targets)))
 
 
 def _forward(params, history, interval):
@@ -191,10 +192,10 @@ def test_moving_average_repeat_padding():
 
 def test_zero_weights_zero_gradient():
     rng = np.random.default_rng(7)
-    batch = [_sample(rng) for _ in range(3)]
+    batch = _windows(_sample(rng) for _ in range(3))
     draw = _full_domain_draw([0.0] * len(batch))
     params = init("mlp", DIMS, 2, hidden=5)
-    loss, grad = backward(params, *_arrays(batch), draw, 0.0)
+    loss, grad = backward(params, batch.history, batch.target, draw, 0.0)
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros_like(grad))
 
@@ -204,8 +205,8 @@ def test_exact_fit_has_zero_subgradient():
     params = init("mlp", DIMS, 2, hidden=5)
     params.theta[:] = 0.0
     rng = np.random.default_rng(8)
-    batch = [WindowSample(rng.uniform(0, 1, (6, 2)), np.zeros((3, 2)), 0)]
-    loss, grad = backward(params, *_arrays(batch), _full_domain_draw([1.0]), 0.0)
+    batch = _windows([(rng.uniform(0, 1, (6, 2)), np.zeros((3, 2)))])
+    loss, grad = backward(params, batch.history, batch.target, _full_domain_draw([1.0]), 0.0)
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros_like(grad))
 
@@ -219,8 +220,8 @@ def test_output_bias_gradient_matches_sign_rule():
     b2 = params.theta[-d_out:]
     b2[: 3 * 2] = 0.9  # regression bias above every target
     rng = np.random.default_rng(9)
-    batch = [WindowSample(rng.uniform(0, 1, (6, 2)), np.full((3, 2), 0.2), 0)]
-    loss, grad = backward(params, *_arrays(batch), _full_domain_draw([0.5]), 0.0)
+    batch = _windows([(rng.uniform(0, 1, (6, 2)), np.full((3, 2), 0.2))])
+    loss, grad = backward(params, batch.history, batch.target, _full_domain_draw([0.5]), 0.0)
     assert loss == pytest.approx(0.5 * 0.7)
     expected = 0.5 * 1.0 / 6.0
     assert np.allclose(grad[-d_out : -d_out + 6], expected)
@@ -229,10 +230,11 @@ def test_output_bias_gradient_matches_sign_rule():
 def test_backward_raises_on_nonfinite_sample():
     params = init("mlp", DIMS, 2, hidden=5)
     rng = np.random.default_rng(10)
-    bad = WindowSample(rng.uniform(0, 1, (6, 2)), np.full((3, 2), np.nan), 0)
+    bad = (rng.uniform(0, 1, (6, 2)), np.full((3, 2), np.nan))
     good = _sample(rng)
+    batch = _windows([good, bad])
     with pytest.raises(NumericError) as err:
-        backward(params, *_arrays([good, bad]), _full_domain_draw([1.0, 1.0]), 0.0)
+        backward(params, batch.history, batch.target, _full_domain_draw([1.0, 1.0]), 0.0)
     assert "sample 1" in str(err.value)
 
 
@@ -245,16 +247,16 @@ def test_backward_rejects_empty_batch():
 @pytest.mark.parametrize("kind", ["mlp", "linear"])
 def test_gradient_check_representative(kind):
     rng = np.random.default_rng(11)
-    batch = [_sample(rng, level=rng.uniform(0.1, 0.9)) for _ in range(4)]
+    batch = _windows(_sample(rng, level=rng.uniform(0.1, 0.9)) for _ in range(4))
     policy = PolicyConfig(
         "dstar", partition=DiscretePartition(4), nu=DecaySpec(2.0), phi=0.5
     )
-    H, Y = _arrays(batch)
+    H, Y = batch.history, batch.target
     draw = draw_batch(policy, Y, rng)
     params = init(kind, DIMS, 12, hidden=5, kernel=3, use_covariate=True)
     loss, grad = backward(params, H, Y, draw, 0.5)
     assert loss > 0
-    f = lambda th: batch_loss(ModelParams(params.arch, th), H, Y, draw, 0.5)
+    f = lambda th: backward(ModelParams(params.arch, th), H, Y, draw, 0.5)[0]
     report = check_gradient(f, params.theta, grad, step=1e-5, tol=1e-5)
     assert report.passed
 

@@ -13,7 +13,7 @@ from intervalcast import (
     make_windows,
 )
 from intervalcast.errors import DimensionError, NumericError
-from intervalcast.models import ModelParams, backward, batch_loss, init
+from intervalcast.models import ModelParams, backward, init
 from intervalcast.training import draw_batch
 
 
@@ -55,11 +55,10 @@ def test_masked_mae_gradient_on_synth_batch():
     train, _, _ = chrono_split(samples, SplitSpec(0.66, 0.17, 0.17))
     batch = train[100:104]
     policy = PolicyConfig("d", partition=DiscretePartition(2))
-    H = np.stack([s.history for s in batch])
-    Y = np.stack([s.target for s in batch])
+    H, Y = batch.history, batch.target
     draw = draw_batch(policy, Y, np.random.default_rng(5))
     params = init("linear", (12, 4, 1), 9, kernel=5, use_covariate=True)
     _, grad = backward(params, H, Y, draw, 0.0)
-    f = lambda th: batch_loss(ModelParams(params.arch, th), H, Y, draw, 0.0)
+    f = lambda th: backward(ModelParams(params.arch, th), H, Y, draw, 0.0)[0]
     report = check_gradient(f, params.theta, grad, step=1e-5, tol=1e-5)
     assert report.passed

@@ -11,6 +11,7 @@ from intervalcast import (
     PolicyConfig,
     SplitSpec,
     WindowConfig,
+    Windows,
     chrono_split,
     cosine_lr,
     generate_synthds,
@@ -20,7 +21,6 @@ from intervalcast import (
     save_checkpoint,
     train,
 )
-from intervalcast.data import WindowSample
 from intervalcast.errors import ConfigError, TrainingError
 from intervalcast.intervals import INDICATOR, target_weights
 from intervalcast.models import BatchDraw, backward, init, sample_losses
@@ -34,8 +34,10 @@ def _synth_splits(w=12, tau=6, seed=0, noise=0.0):
     return chrono_split(samples, SplitSpec(0.66, 0.17, 0.17))
 
 
-def _arrays(batch):
-    return np.stack([s.history for s in batch]), np.stack([s.target for s in batch])
+def _windows(pairs):
+    """Windows of (history, target) pairs, at origins 0, 1, ..."""
+    histories, targets = zip(*pairs)
+    return Windows(np.stack(histories), np.stack(targets), np.arange(len(targets)))
 
 
 # ---------------------------------------------------------------- losses
@@ -106,11 +108,10 @@ def test_policy_labels():
 
 def test_batch_losses_baseline_all_ones():
     rng = np.random.default_rng(0)
-    batch = [
-        WindowSample(rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (2, 1)), i)
-        for i in range(5)
-    ]
-    draw = draw_batch(PolicyConfig("b"), _arrays(batch)[1], rng)
+    batch = _windows(
+        (rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (2, 1))) for i in range(5)
+    )
+    draw = draw_batch(PolicyConfig("b"), batch.target, rng)
     assert np.all(draw.weight == 1.0)
     assert np.all(draw.bounds == [FULL_DOMAIN.lo, FULL_DOMAIN.hi])
     assert draw.labels is None
@@ -121,10 +122,10 @@ def test_batch_losses_e2e_matches_hypothesis_membership():
     # the block's hypothesis is the top one
     series = generate_synthds(15, 0.0)
     samples = make_windows(series, WindowConfig(48, 24))
-    aligned = [s for s in samples if s.t_origin % 48 == 24]
+    aligned = samples[samples.t_origin % 48 == 24]
     policy = PolicyConfig("e2e", task_interval=Interval(0.75, 1.0))
     rng = np.random.default_rng(1)
-    draw = draw_batch(policy, _arrays(aligned)[1], rng)
+    draw = draw_batch(policy, aligned.target, rng)
     for sample, weight in zip(aligned, draw.weight):
         is_top = sample.target.min() >= 0.75
         assert weight == (1.0 if is_top else 0.0)
@@ -132,9 +133,9 @@ def test_batch_losses_e2e_matches_hypothesis_membership():
 
 def test_batch_losses_e2e_weight_shares_indicator_path():
     rng = np.random.default_rng(2)
-    batch = [WindowSample(rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (2, 1)), 0)]
+    batch = _windows([(rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (2, 1)))])
     policy = PolicyConfig("e2e", task_interval=Interval(0.2, 0.8))
-    Y = _arrays(batch)[1]
+    Y = batch.target
     draw = draw_batch(policy, Y, rng)
     iv = policy.task_interval
     assert draw.weight[0] == target_weights(Y, iv.lo, iv.hi, INDICATOR)[0]
@@ -143,16 +144,12 @@ def test_batch_losses_e2e_weight_shares_indicator_path():
 def test_batch_losses_dstar_inf_equals_d_weights():
     rng_a = np.random.default_rng(3)
     rng_b = np.random.default_rng(3)
-    batch = [
-        WindowSample(
-            np.random.default_rng(i).uniform(0, 1, (4, 1)),
-            np.full((2, 1), 0.1 + 0.2 * i),
-            i,
-        )
+    batch = _windows(
+        (np.random.default_rng(i).uniform(0, 1, (4, 1)), np.full((2, 1), 0.1 + 0.2 * i))
         for i in range(4)
-    ]
+    )
     partition = DiscretePartition(4)
-    Y = _arrays(batch)[1]
+    Y = batch.target
     d_draw = draw_batch(PolicyConfig("d", partition=partition), Y, rng_a)
     ds_draw = draw_batch(
         PolicyConfig("dstar", partition=partition, nu=DecaySpec(math.inf), phi=0.5),
@@ -166,11 +163,11 @@ def test_batch_losses_dstar_inf_equals_d_weights():
 
 def test_batch_losses_dstar_labels_are_entry_indicators():
     rng = np.random.default_rng(4)
-    batch = [WindowSample(rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (3, 1)), 0)]
+    batch = _windows([(rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (3, 1)))])
     policy = PolicyConfig(
         "dstar", partition=DiscretePartition(2), nu=DecaySpec(5.0), phi=0.5
     )
-    draw = draw_batch(policy, _arrays(batch)[1], rng)
+    draw = draw_batch(policy, batch.target, rng)
     t = batch[0].target
     lo, hi = draw.bounds[0]
     expected = ((t >= lo) & (t <= hi)).astype(float)
@@ -182,7 +179,7 @@ def _reference_targets():
     # two-channel uniform batch so labels and products span channels
     series = generate_synthds(0, 0.05)
     windows = make_windows(series, WindowConfig(48, 24))
-    synth = np.stack([s.target for s in windows[:200]])
+    synth = windows.target[:200]
     wide = np.random.default_rng(21).uniform(0, 1, (64, 5, 2))
     return synth, wide
 
@@ -265,12 +262,11 @@ def test_adamw_update_matches_reference_formula_bitwise():
 def test_loss_scale_property():
     # scaling every sample weight by c scales loss and gradient by c exactly
     rng = np.random.default_rng(5)
-    batch = [
-        WindowSample(rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (2, 1)), i)
-        for i in range(3)
-    ]
+    batch = _windows(
+        (rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (2, 1))) for i in range(3)
+    )
     policy = PolicyConfig("b")
-    H, Y = _arrays(batch)
+    H, Y = batch.history, batch.target
     draw = draw_batch(policy, Y, rng)
     params = init("mlp", (4, 2, 1), 0, hidden=3, use_covariate=False)
     loss1, grad1 = backward(params, H, Y, draw, 0.0)
@@ -284,9 +280,9 @@ def test_singleton_batch_loss_nonincreasing_first_steps():
     # convex weight-1 objective on the linear model: repeated updates on one
     # sample cannot increase its loss at lr <= 1e-3
     rng = np.random.default_rng(6)
-    batch = [WindowSample(rng.uniform(0, 1, (8, 1)), rng.uniform(0.3, 0.7, (4, 1)), 0)]
+    batch = _windows([(rng.uniform(0, 1, (8, 1)), rng.uniform(0.3, 0.7, (4, 1)))])
     policy = PolicyConfig("b")
-    H, Y = _arrays(batch)
+    H, Y = batch.history, batch.target
     draw = draw_batch(policy, Y, rng)
     params = init("linear", (8, 4, 1), 1, kernel=3, use_covariate=False)
     opt = AdamwState.zeros(params.theta.size)
@@ -325,14 +321,10 @@ def test_early_stopping_patience():
     # task interval never covered by validation targets: val loss is 0 from
     # epoch 0, so training stops after exactly `patience` fruitless epochs
     rng = np.random.default_rng(7)
-    tr = [
-        WindowSample(rng.uniform(0, 1, (4, 1)), rng.uniform(0.4, 0.6, (2, 1)), i)
-        for i in range(40)
-    ]
-    va = [
-        WindowSample(rng.uniform(0, 1, (4, 1)), np.full((2, 1), 0.95), i)
-        for i in range(10)
-    ]
+    tr = _windows(
+        (rng.uniform(0, 1, (4, 1)), rng.uniform(0.4, 0.6, (2, 1))) for i in range(40)
+    )
+    va = _windows((rng.uniform(0, 1, (4, 1)), np.full((2, 1), 0.95)) for i in range(10))
     policy = PolicyConfig("e2e", task_interval=Interval(0.4, 0.6))
     params, report, _ = train(policy, "mlp", tr, va, 0, epochs=50, hidden=4)
     assert report.stopped_early
@@ -343,14 +335,14 @@ def test_early_stopping_patience():
 def test_train_rejects_empty_split():
     tr, va, _ = _synth_splits()
     with pytest.raises(TrainingError):
-        train(PolicyConfig("b"), "mlp", [], va, 0)
+        train(PolicyConfig("b"), "mlp", tr[:0], va, 0)
 
 
 def test_train_error_carries_epoch_and_batch():
     rng = np.random.default_rng(8)
     bad_target = np.full((2, 1), np.nan)
-    tr = [WindowSample(rng.uniform(0, 1, (4, 1)), bad_target, i) for i in range(8)]
-    va = [WindowSample(rng.uniform(0, 1, (4, 1)), np.full((2, 1), 0.5), 0)]
+    tr = _windows((rng.uniform(0, 1, (4, 1)), bad_target) for i in range(8))
+    va = _windows([(rng.uniform(0, 1, (4, 1)), np.full((2, 1), 0.5))])
     with pytest.raises(TrainingError) as err:
         train(PolicyConfig("b"), "mlp", tr, va, 0, epochs=2, hidden=4)
     assert "epoch 0" in str(err.value)
@@ -412,16 +404,14 @@ def test_validation_probe_partition_for_continuous_policy():
     from intervalcast.training import validation_loss
 
     rng = np.random.default_rng(11)
-    val = [
-        WindowSample(rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (2, 1)), i)
-        for i in range(12)
-    ]
+    val = _windows(
+        (rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (2, 1))) for i in range(12)
+    )
     policy = PolicyConfig("c", delta=0.2)
     params = init("mlp", (4, 2, 1), 0, hidden=3, use_covariate=True)
     got = validation_loss(params, policy, val)
 
-    H = np.stack([s.history for s in val])
-    Y = np.stack([s.target for s in val])
+    H, Y = val.history, val.target
     cells = DiscretePartition(4).intervals
     cell_losses = []
     for cell in cells:
@@ -436,14 +426,12 @@ def test_validation_baseline_is_unmasked_mae():
     from intervalcast.training import validation_loss
 
     rng = np.random.default_rng(12)
-    val = [
-        WindowSample(rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (2, 1)), i)
-        for i in range(8)
-    ]
+    val = _windows(
+        (rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (2, 1))) for i in range(8)
+    )
     params = init("mlp", (4, 2, 1), 0, hidden=3, use_covariate=False)
     got = validation_loss(params, PolicyConfig("b"), val)
-    H = np.stack([s.history for s in val])
-    Y = np.stack([s.target for s in val])
+    H, Y = val.history, val.target
     reg, _ = forward_batch(params, H, [FULL_DOMAIN] * len(val))
     assert got == pytest.approx(float(np.abs(reg - Y).mean(axis=(1, 2)).mean()), rel=1e-12)
 
@@ -473,7 +461,8 @@ def test_training_and_evaluation_agree_on_cell_membership():
 
 def test_train_names_epoch_of_non_finite_validation_loss():
     tr, va, _ = _synth_splits()
-    broken = list(va[:20])
-    broken[3] = WindowSample(np.full_like(broken[3].history, np.nan), broken[3].target, 0)
+    histories = va.history[:20].copy()
+    histories[3] = np.nan
+    broken = Windows(histories, va.target[:20], va.t_origin[:20])
     with pytest.raises(TrainingError, match="epoch 0, validation: non-finite loss at batch sample 3"):
         train(PolicyConfig("b"), "mlp", tr[:64], broken, 0, epochs=2, hidden=4)
