@@ -119,7 +119,9 @@ def _parse_sweep(text: str) -> tuple[str, list]:
     if param == "nu":
         return "nu", [_parse_nu(v) for v in values.split(",")]
     if param == "delta":
-        return "delta", [float(v) for v in _parse_thresholds(values, "--sweep delta")]
+        # 12 significant digits drop linspace's rounding noise (0.15000000000000002
+        # is the 0.15 of 0:0.4:9), so sweep.csv and the C label show one value
+        return "delta", [float(f"{v:.12g}") for v in _parse_thresholds(values, "--sweep delta")]
     raise ConfigError(f"unknown sweep parameter {param!r}, expected L, nu or delta")
 
 

@@ -23,7 +23,7 @@ from .patching import STRATEGY_AVERAGE, forecast
 from .training import PolicyConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalMetric:
     """Masked MAE over one interval; ``mae`` is None when nothing is covered."""
 
@@ -138,24 +138,27 @@ def rolling_eval(
 
     Origins advance by the horizon tau so every target timestep in the
     rolled span is forecast exactly once; per-interval absolute errors are
-    pooled across rolls before averaging.
+    pooled across rolls before averaging. Each interval is forecast for
+    every origin in one :func:`patching.forecast` call on the stack of
+    their histories, in time order, so an error about history i of the
+    stack names the i-th origin.
     """
     rolls = make_windows(series, WindowConfig(cfg.w, cfg.tau, cfg.tau))
     targets = rolls.target
     bounds = np.array([(iv.lo, iv.hi) for iv in intervals]).reshape(-1, 2, 1, 1, 1)
     inside = entries_inside(targets, bounds[:, 0], bounds[:, 1])  # (intervals, origins, tau, n)
-    err_sums = np.zeros(len(intervals))
-    for k, history in enumerate(rolls.history):
-        for j, iv in enumerate(intervals):
-            preds = forecast(params, policy, history, iv, strategy)
-            err_sums[j] += float(np.abs(preds - targets[k])[inside[j, k]].sum())
+    errors = np.empty(inside.shape)
+    for j, iv in enumerate(intervals):
+        errors[j] = np.abs(forecast(params, policy, rolls.history, iv, strategy) - targets)
+    err_sums = np.where(inside, errors, 0.0).sum(axis=(1, 2, 3))
     covered = inside.sum(axis=(1, 2, 3))
+    total = targets.size
     return [
         IntervalMetric(
             iv,
             float(err_sums[j] / covered[j]) * scale if covered[j] else None,
             int(covered[j]),
-            targets.size,
+            total,
         )
         for j, iv in enumerate(intervals)
     ]

@@ -11,6 +11,12 @@ Two small architectures stand in for the published deep models:
 Both partition their output into regression values (first tau per channel)
 and classification logits (remaining tau). Gradients are hand-derived and
 validated against finite differences.
+
+The interval enters either model only as its two covariate entries, so the
+first layer is computed as a history term (:func:`project_histories`) plus
+a covariate term. :func:`forward_batch` conditions each history on its own
+interval; :func:`forward_cells` conditions every history on each of K
+intervals from one history term. Both run the same arithmetic.
 """
 
 from __future__ import annotations
@@ -168,7 +174,7 @@ def moving_average(history: np.ndarray, kernel: int) -> np.ndarray:
 
 
 def _covariate_rows(arch: ModelArch, intervals) -> np.ndarray:
-    """(B, 2) covariate rows: each interval's (lo, hi), or (0, 1) when pinned."""
+    """(K, 2) covariate rows: each interval's (lo, hi), or (0, 1) when pinned."""
     if not arch.use_covariate:
         return np.tile(np.array([0.0, 1.0]), (len(intervals), 1))
     if isinstance(intervals, np.ndarray):
@@ -176,33 +182,69 @@ def _covariate_rows(arch: ModelArch, intervals) -> np.ndarray:
     return np.array([(i.lo, i.hi) for i in intervals], dtype=np.float64).reshape(-1, 2)
 
 
-def _forward_mlp(params: ModelParams, H: np.ndarray, cov: np.ndarray) -> dict:
-    arch = params.arch
-    v = _unpack(arch, params.theta)
-    B = H.shape[0]
-    X = np.concatenate([H.reshape(B, arch.w * arch.n), cov], axis=1)  # (B, d_in)
-    Z1 = X @ v["W1"].T + v["b1"]
-    A = np.tanh(Z1)
-    O = A @ v["W2"].T + v["b2"]  # (B, 2*tau*n)
-    half = arch.tau * arch.n
-    reg = O[:, :half].reshape(B, arch.tau, arch.n)
-    logits = O[:, half:].reshape(B, arch.tau, arch.n)
-    return {"X": X, "A": A, "reg": reg, "prob": _sigmoid(logits)}
+class Projection(NamedTuple):
+    """The interval-free part of the first layer for a batch of B histories.
+
+    The interval enters a model only as two input columns, so the first
+    layer splits into a history term and a covariate term. ``term`` is the
+    history term: (B, hidden) for the mlp and (B, n, 2*tau) for the linear
+    model. Every cell conditioned on these histories adds only its own
+    covariate term to it. ``inputs`` holds what the weight gradient reads:
+    the flattened histories (B, w*n) for the mlp, the trend and residual
+    channels (B, n, w) for the linear model. ``views`` are the named views
+    into the parameter vector that the term was computed with.
+    """
+
+    arch: ModelArch
+    views: dict[str, np.ndarray]
+    term: np.ndarray
+    inputs: tuple[np.ndarray, ...]
 
 
-def _forward_linear(params: ModelParams, H: np.ndarray, cov: np.ndarray) -> dict:
+def project_histories(params: ModelParams, histories: np.ndarray) -> Projection:
+    """The history term of the first layer for a (B, w, n) batch of histories."""
     arch = params.arch
+    H = np.asarray(histories, dtype=np.float64)
+    if H.ndim != 3 or H.shape[1] != arch.w or H.shape[2] != arch.n:
+        raise DimensionError(
+            f"history batch shape {H.shape} does not match architecture "
+            f"(B, {arch.w}, {arch.n})"
+        )
     v = _unpack(arch, params.theta)
-    B = H.shape[0]
-    trend = moving_average(H, arch.kernel)            # (B, w, n)
-    resid = H - trend
-    cov_chan = np.broadcast_to(cov[:, None, :], (B, arch.n, 2))
-    tfeat = np.concatenate([trend.transpose(0, 2, 1), cov_chan], axis=2)  # (B, n, w+2)
-    rfeat = np.concatenate([resid.transpose(0, 2, 1), cov_chan], axis=2)
-    O = tfeat @ v["Wt"].T + v["bt"] + rfeat @ v["Wr"].T + v["br"]  # (B, n, 2*tau)
-    reg = O[..., : arch.tau].transpose(0, 2, 1)       # (B, tau, n)
-    logits = O[..., arch.tau :].transpose(0, 2, 1)
-    return {"tfeat": tfeat, "rfeat": rfeat, "reg": reg, "prob": _sigmoid(logits)}
+    if arch.kind == KIND_MLP:
+        flat = H.reshape(len(H), arch.w * arch.n)
+        return Projection(arch, v, flat @ v["W1"][:, : flat.shape[1]].T, (flat,))
+    trend = moving_average(H, arch.kernel).transpose(0, 2, 1)   # (B, n, w)
+    resid = H.transpose(0, 2, 1) - trend
+    term = trend @ v["Wt"][:, : arch.w].T + resid @ v["Wr"][:, : arch.w].T
+    return Projection(arch, v, term, (trend, resid))
+
+
+def _outputs(projection: Projection, cov: np.ndarray, paired: bool) -> tuple:
+    """Regression, probability and (mlp only) hidden activations of projected histories.
+
+    ``cov`` holds (lo, hi) covariate rows. ``paired`` conditions history b
+    on row b, giving (B, 1, tau, n) outputs; otherwise every history is
+    conditioned on each of the K rows, giving (B, K, tau, n). The mlp's
+    hidden activations are (B*K, hidden), kept for the backward pass.
+    """
+    arch, v = projection.arch, projection.views
+    B = len(projection.term)
+    K = 1 if paired else len(cov)
+    if arch.kind == KIND_MLP:
+        wn = arch.w * arch.n
+        cov_term = cov @ v["W1"][:, wn:].T + v["b1"]
+        Z = projection.term + cov_term if paired else projection.term[:, None, :] + cov_term
+        A = np.tanh(Z.reshape(B * K, arch.hidden))
+        O = A @ v["W2"].T + v["b2"]
+        half = arch.tau * arch.n
+        shape = (B, K, arch.tau, arch.n)
+        return O[:, :half].reshape(shape), _sigmoid(O[:, half:]).reshape(shape), A
+    cov_term = cov @ v["Wt"][:, arch.w :].T + v["bt"] + cov @ v["Wr"][:, arch.w :].T + v["br"]
+    O = projection.term[:, None] + cov_term.reshape((B, 1, 1, -1) if paired else (1, K, 1, -1))
+    reg = O[..., : arch.tau].swapaxes(-1, -2)       # (B, K, tau, n)
+    logits = O[..., arch.tau :].swapaxes(-1, -2)
+    return reg, _sigmoid(logits), None
 
 
 def forward_batch(
@@ -215,27 +257,27 @@ def forward_batch(
     (the interval-blind policies) pin the covariate to (0, 1); the
     intervals then have no effect on the output.
     """
-    cache = _forward(params, histories, intervals)
-    return cache["reg"], cache["prob"]
+    projection = project_histories(params, histories)
+    if len(intervals) != len(projection.term):
+        raise DimensionError(
+            f"{len(intervals)} intervals for a batch of {len(projection.term)} histories"
+        )
+    reg, prob, _ = _outputs(projection, _covariate_rows(params.arch, intervals), paired=True)
+    return reg[:, 0], prob[:, 0]
 
 
-def _forward(params: ModelParams, histories: np.ndarray,
-             intervals: Sequence[Interval] | np.ndarray) -> dict:
-    arch = params.arch
-    H = np.asarray(histories, dtype=np.float64)
-    if H.ndim != 3 or H.shape[1] != arch.w or H.shape[2] != arch.n:
-        raise DimensionError(
-            f"history batch shape {H.shape} does not match architecture "
-            f"(B, {arch.w}, {arch.n})"
-        )
-    if len(intervals) != H.shape[0]:
-        raise DimensionError(
-            f"{len(intervals)} intervals for a batch of {H.shape[0]} histories"
-        )
-    cov = _covariate_rows(arch, intervals)
-    if arch.kind == KIND_MLP:
-        return _forward_mlp(params, H, cov)
-    return _forward_linear(params, H, cov)
+def forward_cells(
+    projection: Projection, intervals: Sequence[Interval] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every projected history conditioned on every interval: (B, K, tau, n) outputs.
+
+    ``projection`` comes from :func:`project_histories` for B histories and
+    ``intervals`` is K intervals or their (K, 2) array; row ``[b, k]`` equals
+    :func:`forward_batch` of history b conditioned on interval k. The
+    history term is computed once, however many intervals share it.
+    """
+    reg, prob, _ = _outputs(projection, _covariate_rows(projection.arch, intervals), paired=False)
+    return reg, prob
 
 
 def backward(
@@ -259,23 +301,26 @@ def backward(
     B = len(Y)
     if B == 0:
         raise DataError("batch must be non-empty")
-    if len(histories) != B or len(draw.weight) != B:
+    if len(histories) != B or len(draw.weight) != B or len(draw.bounds) != B:
         raise DimensionError(
-            f"{len(histories)} histories and {len(draw.weight)} loss weights "
-            f"for {B} targets"
+            f"{len(histories)} histories, {len(draw.bounds)} intervals and "
+            f"{len(draw.weight)} loss weights for {B} targets"
         )
     if Y.shape[1:] != (arch.tau, arch.n):
         raise DimensionError(
             f"target shape {Y.shape[1:]} does not match (tau, n) = ({arch.tau}, {arch.n})"
         )
-    cache = _forward(params, histories, draw.bounds)
-    loss = float(sample_losses(cache["reg"], cache["prob"], Y, draw, phi).mean())
+    projection = project_histories(params, histories)
+    cov = _covariate_rows(arch, draw.bounds)
+    reg, prob, A = _outputs(projection, cov, paired=True)
+    reg, prob = reg[:, 0], prob[:, 0]
+    loss = float(sample_losses(reg, prob, Y, draw, phi).mean())
 
     per_entry = 1.0 / (arch.tau * arch.n)
     scale = draw.weight[:, None, None] * (per_entry / B)
-    dreg = scale * np.sign(cache["reg"] - Y)
+    dreg = scale * np.sign(reg - Y)
     if draw.labels is not None and phi != 0.0:
-        dlogits = (phi * scale) * (cache["prob"] - draw.labels)
+        dlogits = (phi * scale) * (prob - draw.labels)
     else:
         dlogits = np.zeros_like(dreg)
     grad = np.zeros_like(params.theta)
@@ -285,23 +330,28 @@ def backward(
         dO = np.empty((B, 2 * half))
         dO[:, :half] = dreg.reshape(B, half)
         dO[:, half:] = dlogits.reshape(B, half)
-        v = _unpack(arch, params.theta)
-        A, X = cache["A"], cache["X"]
+        v = projection.views
+        (flat,) = projection.inputs
         g["W2"][:] = dO.T @ A
         g["b2"][:] = dO.sum(axis=0)
         dA = dO @ v["W2"]
         dZ1 = dA * (1.0 - A * A)
-        g["W1"][:] = dZ1.T @ X
+        g["W1"][:, : flat.shape[1]] = dZ1.T @ flat
+        g["W1"][:, flat.shape[1] :] = dZ1.T @ cov
         g["b1"][:] = dZ1.sum(axis=0)
     else:
         # per-channel output gradient: (B, n, 2*tau)
         dO = np.concatenate(
             [dreg.transpose(0, 2, 1), dlogits.transpose(0, 2, 1)], axis=2
         )
-        g["Wt"][:] = np.tensordot(dO, cache["tfeat"], axes=([0, 1], [0, 1]))
+        trend, resid = projection.inputs
+        dcov = dO.sum(axis=1).T @ cov   # both components see the same covariate
+        g["Wt"][:, : arch.w] = np.tensordot(dO, trend, axes=([0, 1], [0, 1]))
+        g["Wt"][:, arch.w :] = dcov
         g["bt"][:] = dO.sum(axis=(0, 1))
-        g["Wr"][:] = np.tensordot(dO, cache["rfeat"], axes=([0, 1], [0, 1]))
-        g["br"][:] = dO.sum(axis=(0, 1))
+        g["Wr"][:, : arch.w] = np.tensordot(dO, resid, axes=([0, 1], [0, 1]))
+        g["Wr"][:, arch.w :] = dcov
+        g["br"][:] = g["bt"]
     return loss, grad
 
 

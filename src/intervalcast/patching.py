@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfidenceError, UnsupportedQueryError
+from .errors import DegenerateConfidenceError, DimensionError, UnsupportedQueryError
 from .intervals import DiscretePartition, FULL_DOMAIN, Interval, intersecting
-from .models import ModelParams, forward_batch
+from .models import ModelParams, forward_cells, project_histories
 from .training import PolicyConfig
 
 STRATEGY_AVERAGE = "avg"
@@ -26,7 +26,11 @@ CONFIDENCE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class PatchRequest:
-    """One patched-forecast request over a trained partition."""
+    """One patched-forecast request over a trained partition.
+
+    ``history`` is one (w, n) history or a (B, w, n) stack of histories,
+    all served for the same query.
+    """
 
     history: np.ndarray
     query: Interval
@@ -45,7 +49,8 @@ class PatchTrace:
     """Diagnostic record of one patching call, as computed.
 
     ``confidences`` is (k,) and ``predictions`` (k, tau, n), one row per
-    cell in ``cells``.
+    cell in ``cells``; a (B, w, n) stack of histories adds a leading B
+    axis to both and to ``final``.
     """
 
     cells: list[Interval]
@@ -57,10 +62,20 @@ class PatchTrace:
 def _cell_outputs(
     params: ModelParams, history: np.ndarray, cells: list[Interval]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Regression outputs (L, tau, n) and scalar confidences (L,) per cell."""
+    """Regression outputs (..., k, tau, n) and scalar confidences (..., k) per cell.
+
+    ``history`` is one (w, n) history or a (B, w, n) stack; the leading
+    axis of both results follows it. Each history is projected once for
+    all k cells.
+    """
     h = np.asarray(history, dtype=np.float64)
-    reg, prob = forward_batch(params, np.repeat(h[None, ...], len(cells), axis=0), cells)
-    return reg, prob.mean(axis=(1, 2))
+    if h.ndim not in (2, 3):
+        raise DimensionError(f"history must be (w, n) or (B, w, n), got shape {h.shape}")
+    lead = h.shape[:-2]
+    reg, prob = forward_cells(project_histories(params, h.reshape((-1,) + h.shape[-2:])), cells)
+    # the mean of each probability head; sum / size skips np.mean's per-call overhead
+    conf = prob.sum(axis=(2, 3)) / (params.arch.tau * params.arch.n)
+    return reg.reshape(lead + reg.shape[1:]), conf.reshape(lead + (len(cells),))
 
 
 def patch(params: ModelParams, request: PatchRequest) -> tuple[np.ndarray, PatchTrace]:
@@ -70,21 +85,32 @@ def patch(params: ModelParams, request: PatchRequest) -> tuple[np.ndarray, Patch
     predictions, clamped to their per-entry min/max envelope, which the
     exact weighted mean lies in; the clamp only guards against float
     rounding at the envelope boundary. With ``max`` it is the prediction of
-    the single highest-confidence cell; ties go to the lower cell.
+    the single highest-confidence cell; ties go to the lower cell. A
+    (B, w, n) stack of histories is served in one pass and gives (B, tau, n)
+    forecasts, each equal to patching its history alone up to float
+    rounding.
     """
     cells = intersecting(request.partition, request.query)
     reg, conf = _cell_outputs(params, request.history, cells)
-    if conf.max() <= CONFIDENCE_FLOOR:
+    unclaimed = conf.max(axis=-1) <= CONFIDENCE_FLOOR
+    if unclaimed.any():
+        which = "the input" if conf.ndim == 1 else (
+            f"history {np.flatnonzero(unclaimed)[0]} of the stack"
+        )
         raise DegenerateConfidenceError(
-            f"no cell claims the input for query {request.query}: "
+            f"no cell claims {which} for query {request.query}: "
             f"all confidences <= {CONFIDENCE_FLOOR}"
         )
     if request.strategy == STRATEGY_AVERAGE:
-        weights = conf / conf.sum()
-        pred = (weights[:, None, None] * reg).sum(axis=0)
-        pred = np.clip(pred, reg.min(axis=0), reg.max(axis=0))
+        weights = conf / conf.sum(axis=-1, keepdims=True)
+        pred = (weights[..., None, None] * reg).sum(axis=-3)
+        # np.clip, without its per-call overhead
+        pred = np.minimum(np.maximum(pred, reg.min(axis=-3)), reg.max(axis=-3))
     else:
-        pred = reg[int(np.argmax(conf))].copy()  # argmax returns the first (lowest) cell on ties
+        # argmax returns the first (lowest) cell on ties
+        rows = reg.reshape((-1,) + reg.shape[-3:])
+        best = rows[np.arange(len(rows)), conf.argmax(axis=-1).reshape(-1)]
+        pred = best.reshape(unclaimed.shape + reg.shape[-2:])
     return pred, PatchTrace(cells, conf, reg, pred)
 
 
@@ -118,8 +144,10 @@ def forecast(
     training interval; the continuous policy conditions directly on the
     query; the discretized policy serves exact partition cells only; the
     patching-augmented policy composes cells with the requested strategy.
+    ``history`` is one (w, n) history, giving a (tau, n) forecast, or a
+    (B, w, n) stack, giving (B, tau, n) forecasts from one pass.
     """
     if policy.kind == "dstar":
         return patch(params, PatchRequest(history, query, policy.partition, strategy))[0]
     reg, _ = _cell_outputs(params, history, [_served_cell(policy, query)])
-    return reg[0]
+    return reg[..., 0, :, :]

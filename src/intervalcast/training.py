@@ -41,8 +41,9 @@ from .models import (
     ModelArch,
     ModelParams,
     backward,
-    forward_batch,
+    forward_cells,
     init,
+    project_histories,
     sample_losses,
 )
 
@@ -151,23 +152,25 @@ def draw_batch(
         bounds = np.tile(np.array([iv.lo, iv.hi]), (B, 1))
     lo = bounds[:, 0, None, None]
     hi = bounds[:, 1, None, None]
-    return BatchDraw(bounds, *_loss_shaping(policy, Y, lo, hi))
+    return BatchDraw(bounds, _loss_weights(policy, Y, lo, hi), _entry_labels(policy, Y, lo, hi))
 
 
-def _loss_shaping(
-    policy: PolicyConfig, targets: np.ndarray, lo, hi
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The policy's per-sample loss weights and, for ``dstar``, per-entry labels.
+def _loss_weights(policy: PolicyConfig, targets: np.ndarray, lo, hi) -> np.ndarray:
+    """The policy's per-sample loss weights for targets conditioned on [lo, hi].
 
     ``lo`` and ``hi`` bound the conditioning interval, as floats or as
     (B, 1, 1) arrays (see :func:`intervals.entries_inside`).
     """
     if policy.kind == "b":
-        return np.ones(len(targets)), None
+        return np.ones(len(targets))
+    return target_weights(targets, lo, hi, policy.nu if policy.kind == "dstar" else INDICATOR)
+
+
+def _entry_labels(policy: PolicyConfig, targets: np.ndarray, lo, hi) -> np.ndarray | None:
+    """Per-entry in-interval labels for ``dstar``, None for every other policy."""
     if policy.kind != "dstar":
-        return target_weights(targets, lo, hi, INDICATOR), None
-    labels = entries_inside(targets, lo, hi).astype(np.float64)
-    return target_weights(targets, lo, hi, policy.nu), labels
+        return None
+    return entries_inside(targets, lo, hi).astype(np.float64)
 
 
 def cosine_lr(epoch: int, n_epochs: int, lr_max: float = LR_MAX, lr_min: float = LR_MIN) -> float:
@@ -255,25 +258,40 @@ def _validation_intervals(policy: PolicyConfig) -> tuple[Interval, ...]:
     return policy.partition.intervals
 
 
+def _validation_weights(policy: PolicyConfig, val_samples: Windows) -> list[np.ndarray]:
+    """Per-sample loss weights of the validation targets, one array per validation interval."""
+    Y = val_samples.target
+    return [_loss_weights(policy, Y, iv.lo, iv.hi) for iv in _validation_intervals(policy)]
+
+
 def validation_loss(
-    params: ModelParams, policy: PolicyConfig, val_samples: Windows
+    params: ModelParams,
+    policy: PolicyConfig,
+    val_samples: Windows,
+    weights: list[np.ndarray] | None = None,
 ) -> float:
     """Mean over the policy's intervals of the loss conditioned on each.
 
     The per-sample loss is the training objective of the policy
     (:func:`models.sample_losses` on the weights and labels that
     :func:`draw_batch` gives a sample conditioned on that interval). The
-    baseline simply averages the unmasked MAE.
+    baseline simply averages the unmasked MAE. The histories are projected
+    once for all intervals. ``weights`` holds each interval's per-sample
+    loss weights; they depend only on the targets, so :func:`train`
+    computes them once per call and passes them in. They are computed here
+    when omitted.
     """
     H, Y = val_samples.history, val_samples.target
+    if weights is None:
+        weights = _validation_weights(policy, val_samples)
+    projection = project_histories(params, H)
     phi = policy.effective_phi
     cell_losses = []
-    for iv in _validation_intervals(policy):
-        bounds = np.tile(np.array([iv.lo, iv.hi]), (len(val_samples), 1))
-        reg, prob = forward_batch(params, H, bounds)
-        draw = BatchDraw(bounds, *_loss_shaping(policy, Y, iv.lo, iv.hi))
-        losses = sample_losses(reg, prob, Y, draw, phi)
-        cell_losses.append(float(losses.mean()))
+    for iv, weight in zip(_validation_intervals(policy), weights):
+        reg, prob = forward_cells(projection, [iv])
+        bounds = np.broadcast_to([iv.lo, iv.hi], (len(Y), 2))
+        draw = BatchDraw(bounds, weight, _entry_labels(policy, Y, iv.lo, iv.hi))
+        cell_losses.append(float(sample_losses(reg[:, 0], prob[:, 0], Y, draw, phi).mean()))
     return float(np.mean(cell_losses))
 
 
@@ -310,6 +328,7 @@ def train(
     opt = AdamwState.zeros(params.theta.size)
     loop_rng = np.random.default_rng(seed + _LOOP_SEED_OFFSET)
     phi = policy.effective_phi
+    val_weights = _validation_weights(policy, val_samples)
 
     report = TrainReport()
     best_val = math.inf
@@ -338,7 +357,7 @@ def train(
             )
         train_loss = float(np.mean(batch_losses))
         try:
-            val_loss = validation_loss(params, policy, val_samples)
+            val_loss = validation_loss(params, policy, val_samples, val_weights)
         except NumericError as exc:
             raise TrainingError(f"epoch {epoch}, validation: {exc}") from exc
         report.epochs.append(EpochRecord(epoch, train_loss, val_loss, lr))

@@ -163,6 +163,19 @@ def test_sweep_delta_axis(tmp_path):
     assert (out / "sweep_summary.csv").exists()
 
 
+def test_sweep_delta_values_read_as_typed(tmp_path):
+    # linspace gives 0.1 + 0.2 = 0.30000000000000004 for the middle value of
+    # 0.1:0.5:3; the CSVs must show the 0.3 that the C0.3 label names
+    out = tmp_path / "sweep"
+    code = main([
+        "sweep", "--sweep", "delta=0.1:0.5:3", "--seeds", "0", "--out", str(out),
+    ] + FAST_TRAIN)
+    assert code == 0
+    for name in ("sweep.csv", "sweep_summary.csv"):
+        rows = (out / name).read_text().strip().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0.1", "0.3", "0.5"]
+
+
 def test_sweep_warns_once_per_ignored_flag(tmp_path, capsys):
     # the c policy ignores --L; three swept values still give one warning
     code = main([

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import intervalcast.patching as patching
 from intervalcast import (
+    DecaySpec,
     DiscretePartition,
     Interval,
     PolicyConfig,
@@ -13,10 +15,16 @@ from intervalcast import (
     strategy_ratio,
     write_table_csv,
 )
-from intervalcast.errors import ConfigError, DataError, RatioUndefinedError
+from intervalcast.errors import (
+    ConfigError,
+    DataError,
+    DegenerateConfidenceError,
+    RatioUndefinedError,
+)
 from intervalcast.evaluation import IntervalMetric
 from intervalcast.intervals import entries_inside
 from intervalcast.models import init
+from per_origin_eval import per_origin_rolling_eval
 
 
 def test_interval_mae_perfect():
@@ -233,3 +241,60 @@ def test_rolling_eval_dstar_strategies():
         metrics = rolling_eval(params, policy, series, cfg, cells, strategy=strategy)
         assert len(metrics) == 4
         assert sum(m.covered_entries for m in metrics) == 16
+
+
+# ------------------------------------------- batched against per-origin reference
+
+_QUERIES = DiscretePartition(4).intervals + (Interval(0.1, 0.7), Interval(0.0, 1.0))
+_POLICIES = {
+    "b": (PolicyConfig("b"), _QUERIES),
+    "e2e": (PolicyConfig("e2e", task_interval=Interval(0.5, 1.0)), (Interval(0.5, 1.0),)),
+    "c": (PolicyConfig("c", delta=0.2), _QUERIES),
+    "d": (PolicyConfig("d", partition=DiscretePartition(4)), DiscretePartition(4).intervals),
+    "dstar": (
+        PolicyConfig("dstar", partition=DiscretePartition(8), nu=DecaySpec(2.0), phi=0.5),
+        _QUERIES,
+    ),
+}
+
+
+def _two_channel_series(T):
+    rng = np.random.default_rng(5)
+    return TimeSeries(rng.uniform(0, 1, (T, 2)), ("u", "v"), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "linear"])
+@pytest.mark.parametrize("name", list(_POLICIES))
+@pytest.mark.parametrize("strategy", ["avg", "max"])
+def test_rolling_eval_matches_per_origin_reference(kind, name, strategy):
+    policy, queries = _POLICIES[name]
+    params = init(kind, (8, 4, 2), 1, hidden=5, kernel=3, use_covariate=policy.uses_covariate)
+    series = _two_channel_series(8 + 4 * 9)
+    cfg = WindowConfig(8, 4)
+    got = rolling_eval(params, policy, series, cfg, queries, strategy=strategy, scale=2.0)
+    ref = per_origin_rolling_eval(params, policy, series, cfg, queries, strategy=strategy, scale=2.0)
+    assert [m.covered_entries for m in got] == [m.covered_entries for m in ref]
+    assert [m.total_entries for m in got] == [m.total_entries for m in ref]
+    for g, r in zip(got, ref):
+        assert (g.mae is None) == (r.mae is None)
+        if r.mae is not None:
+            assert g.mae == pytest.approx(r.mae, rel=1e-12, abs=0.0)
+
+
+def test_rolling_eval_names_a_degenerate_origin(monkeypatch):
+    # zero the confidences of the fourth origin only: one forecast call
+    # serves all origins, and its error must say which one no cell claims
+    real = patching._cell_outputs
+
+    def fourth_unclaimed(params, history, cells):
+        reg, conf = real(params, history, cells)
+        conf = conf.copy()
+        conf[3] = 0.0
+        return reg, conf
+
+    monkeypatch.setattr(patching, "_cell_outputs", fourth_unclaimed)
+    policy, queries = _POLICIES["dstar"]
+    params = init("mlp", (8, 4, 2), 1, hidden=5, use_covariate=True)
+    with pytest.raises(DegenerateConfidenceError) as err:
+        rolling_eval(params, policy, _two_channel_series(8 + 4 * 9), WindowConfig(8, 4), queries)
+    assert "history 3 " in str(err.value)

@@ -22,7 +22,10 @@ from intervalcast.models import (
     backward,
     moving_average,
     forward_batch,
+    forward_cells,
+    project_histories,
 )
+from concat_forward import concat_forward
 
 DIMS = (6, 3, 2)  # w, tau, n
 
@@ -147,6 +150,32 @@ def test_forward_batch_accepts_interval_bounds_array():
     bounds = np.array([(c.lo, c.hi) for c in cells])
     for a, b in zip(forward_batch(params, H, cells), forward_batch(params, H, bounds)):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["mlp", "linear"])
+@pytest.mark.parametrize("use_covariate", [True, False])
+def test_forward_batch_matches_concatenated_input_reference(kind, use_covariate):
+    params = init(kind, DIMS, 8, hidden=5, kernel=3, use_covariate=use_covariate)
+    rng = np.random.default_rng(9)
+    H = rng.uniform(0, 1, (7, 6, 2))
+    lo = rng.uniform(0, 0.5, 7)
+    bounds = np.column_stack((lo, lo + rng.uniform(0.1, 0.5, 7)))
+    for got, ref in zip(forward_batch(params, H, bounds), concat_forward(params, H, bounds)):
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "linear"])
+def test_forward_cells_rows_equal_forward_batch(kind):
+    # row [b, k] is history b conditioned on interval k, from one projection
+    params = init(kind, DIMS, 3, hidden=5, kernel=3)
+    H = np.random.default_rng(10).uniform(0, 1, (4, 6, 2))
+    cells = DiscretePartition(4).intervals + (Interval(0.1, 0.7),)
+    reg, prob = forward_cells(project_histories(params, H), cells)
+    assert reg.shape == prob.shape == (4, 5, 3, 2)
+    for k, cell in enumerate(cells):
+        ref_reg, ref_prob = forward_batch(params, H, [cell] * 4)
+        assert np.allclose(reg[:, k], ref_reg, rtol=0.0, atol=1e-12)
+        assert np.allclose(prob[:, k], ref_prob, rtol=0.0, atol=1e-12)
 
 
 def _two_branch_sigmoid(z):

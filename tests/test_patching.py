@@ -18,8 +18,8 @@ from intervalcast import (
     make_windows,
     train,
 )
-from intervalcast.errors import DegenerateConfidenceError, UnsupportedQueryError
-from intervalcast.models import forward_batch, init
+from intervalcast.errors import DegenerateConfidenceError, DimensionError, UnsupportedQueryError
+from intervalcast.models import forward_batch, forward_cells, init, project_histories
 from intervalcast.patching import (
     PatchRequest,
     forecast,
@@ -142,12 +142,10 @@ def test_confidence_reduction_invariant_to_entry_permutation():
     reg, conf = patching._cell_outputs(params, request.history, cells)
     rng = np.random.default_rng(0)
     def permuted(params_, history, cells_):
-        reg_, prob = forward_batch(
-            params_, np.repeat(np.asarray(history)[None], len(cells_), 0), cells_
-        )
+        reg_, prob = forward_cells(project_histories(params_, history[None]), cells_)
         flat = prob.reshape(len(cells_), -1)
         perm = rng.permutation(flat.shape[1])
-        return reg_, flat[:, perm].mean(axis=1)
+        return reg_[0], flat[:, perm].mean(axis=1)
 
     base_avg, _ = patch(params, request)
     base_max, _ = patch(params, _max(request))
@@ -240,3 +238,41 @@ def test_forecast_continuous_conditions_on_query():
     a = forecast(params, policy, hist, Interval(0.0, 0.25))
     b = forecast(params, policy, hist, Interval(0.75, 1.0))
     assert not np.array_equal(a, b)
+
+
+_STACK_CASES = [
+    (PolicyConfig("b"), Interval(0.1, 0.7)),
+    (PolicyConfig("e2e", task_interval=Interval(0.5, 1.0)), Interval(0.5, 1.0)),
+    (PolicyConfig("c", delta=0.2), Interval(0.1, 0.7)),
+    (PolicyConfig("d", partition=DiscretePartition(4)), Interval(0.25, 0.5)),
+    (PolicyConfig("dstar", partition=DiscretePartition(8), nu=DecaySpec(2.0), phi=0.5),
+     Interval(0.1, 0.7)),
+]
+
+
+@pytest.mark.parametrize("kind", ["mlp", "linear"])
+@pytest.mark.parametrize("policy,query", _STACK_CASES, ids=lambda c: getattr(c, "kind", None))
+@pytest.mark.parametrize("strategy", ["avg", "max"])
+def test_forecast_of_a_stack_equals_single_calls(kind, policy, query, strategy):
+    params = init(kind, (6, 3, 2), 7, hidden=5, kernel=3, use_covariate=policy.uses_covariate)
+    stack = np.random.default_rng(4).uniform(0, 1, (9, 6, 2))
+    got = forecast(params, policy, stack, query, strategy)
+    singles = np.stack([forecast(params, policy, h, query, strategy) for h in stack])
+    assert got.shape == (9, 3, 2)
+    assert np.allclose(got, singles, rtol=0.0, atol=1e-12)
+
+
+def test_patch_of_a_stack_keeps_one_trace_row_per_history():
+    params = _params(3)
+    stack = np.random.default_rng(6).uniform(0, 1, (5, 6, 1))
+    pred, trace = patch(params, PatchRequest(stack, Interval(0.3, 0.6), DiscretePartition(4)))
+    assert pred.shape == (5, 3, 1)
+    assert trace.confidences.shape == (5, 2) and trace.predictions.shape == (5, 2, 3, 1)
+    for b in range(5):
+        alone, _ = patch(params, PatchRequest(stack[b], Interval(0.3, 0.6), DiscretePartition(4)))
+        assert np.allclose(pred[b], alone, rtol=0.0, atol=1e-12)
+
+
+def test_patch_rejects_a_history_of_the_wrong_rank():
+    with pytest.raises(DimensionError):
+        patch(_params(), PatchRequest(np.zeros(6), Interval(0.3, 0.6), DiscretePartition(4)))

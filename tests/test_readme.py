@@ -19,4 +19,6 @@ def test_readme_library_example_runs():
     exec(compile(_library_example(), str(README), "exec"), namespace)
     assert namespace["pred"].shape == (24, 1)
     assert np.all(np.isfinite(namespace["pred"]))
+    assert namespace["preds"].shape == (len(namespace["test_s"]), 24, 1)
+    assert np.allclose(namespace["preds"][0], namespace["pred"], rtol=0.0, atol=1e-12)
     assert namespace["report"].best_epoch >= 0

@@ -22,8 +22,9 @@ from intervalcast import (
     train,
 )
 from intervalcast.errors import ConfigError, TrainingError
-from intervalcast.intervals import INDICATOR, target_weights
+from intervalcast.intervals import INDICATOR, entries_inside, target_weights
 from intervalcast.models import BatchDraw, backward, init, sample_losses
+from concat_forward import concat_forward
 from intervalcast.training import AdamwState, adamw_update
 from per_sample_draw import per_sample_draw
 
@@ -434,6 +435,64 @@ def test_validation_baseline_is_unmasked_mae():
     H, Y = val.history, val.target
     reg, _ = forward_batch(params, H, [FULL_DOMAIN] * len(val))
     assert got == pytest.approx(float(np.abs(reg - Y).mean(axis=(1, 2)).mean()), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "linear"])
+@pytest.mark.parametrize("policy", [
+    PolicyConfig("b"),
+    PolicyConfig("e2e", task_interval=Interval(0.25, 0.75)),
+    PolicyConfig("c", delta=0.2),
+    PolicyConfig("d", partition=DiscretePartition(4)),
+    PolicyConfig("dstar", partition=DiscretePartition(4), nu=DecaySpec(2.0), phi=0.5),
+], ids=lambda p: p.kind)
+def test_validation_loss_matches_concatenated_input_reference(kind, policy):
+    # one cell at a time through the concatenated-input forward, with the
+    # weights and labels the policy draws for a sample conditioned on it
+    from intervalcast.training import _validation_intervals, validation_loss
+
+    rng = np.random.default_rng(13)
+    val = _windows(
+        (rng.uniform(0, 1, (4, 2)), rng.uniform(0, 1, (2, 2))) for i in range(30)
+    )
+    params = init(kind, (4, 2, 2), 2, hidden=3, kernel=3, use_covariate=policy.uses_covariate)
+    H, Y = val.history, val.target
+    cell_losses = []
+    for cell in _validation_intervals(policy):
+        bounds = np.tile([cell.lo, cell.hi], (len(val), 1))
+        reg, prob = concat_forward(params, H, bounds)
+        if policy.kind == "b":
+            weight, labels = np.ones(len(val)), None
+        elif policy.kind == "dstar":
+            weight = target_weights(Y, cell.lo, cell.hi, policy.nu)
+            labels = entries_inside(Y, cell.lo, cell.hi).astype(float)
+        else:
+            weight, labels = target_weights(Y, cell.lo, cell.hi, INDICATOR), None
+        draw = BatchDraw(bounds, weight, labels)
+        cell_losses.append(sample_losses(reg, prob, Y, draw, policy.effective_phi).mean())
+    got = validation_loss(params, policy, val)
+    assert got == pytest.approx(float(np.mean(cell_losses)), rel=1e-12, abs=0.0)
+
+
+def test_train_computes_validation_weights_once(monkeypatch):
+    # the validation targets never change, so their per-cell weights are
+    # computed once per train() call, not once per epoch
+    import intervalcast.training as training
+
+    tr, va, _ = _synth_splits()
+    val = va[:37]  # no training batch has 37 samples
+    calls = []
+    real = training.target_weights
+
+    def counting(targets, lo, hi, spec):
+        if len(targets) == len(val):
+            calls.append((lo, hi))
+        return real(targets, lo, hi, spec)
+
+    monkeypatch.setattr(training, "target_weights", counting)
+    policy = PolicyConfig("d", partition=DiscretePartition(4))
+    _, report, _ = train(policy, "mlp", tr[:200], val, 0, epochs=3, hidden=4)
+    assert len(report.epochs) == 3
+    assert calls == [(c.lo, c.hi) for c in policy.partition.intervals]
 
 
 def test_training_and_evaluation_agree_on_cell_membership():
