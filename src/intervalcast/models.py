@@ -323,7 +323,7 @@ def backward(
         dlogits = (phi * scale) * (prob - draw.labels)
     else:
         dlogits = np.zeros_like(dreg)
-    grad = np.zeros_like(params.theta)
+    grad = np.empty_like(params.theta)  # the views of _unpack tile it and all are written
     g = _unpack(arch, grad)
     if arch.kind == KIND_MLP:
         half = arch.tau * arch.n
@@ -356,7 +356,12 @@ def backward(
 
 
 def sample_losses(
-    reg: np.ndarray, prob: np.ndarray, targets: np.ndarray, draw: BatchDraw, phi: float
+    reg: np.ndarray,
+    prob: np.ndarray,
+    targets: np.ndarray,
+    draw: BatchDraw,
+    phi: float,
+    start: int = 0,
 ) -> np.ndarray:
     """Per-sample loss of (B, tau, n) outputs against (B, tau, n) targets.
 
@@ -364,7 +369,8 @@ def sample_losses(
     and phi is non-zero, phi times its weighted binary cross entropy, with
     probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP]. Training and
     validation both compute their loss here. Raises :class:`NumericError`
-    naming the first sample whose loss is not finite.
+    naming the first sample whose loss is not finite, counting samples from
+    ``start`` (the batch's first row within a longer split).
     """
     losses = draw.weight * np.abs(reg - targets).mean(axis=(1, 2))
     if draw.labels is not None and phi != 0.0:
@@ -373,5 +379,5 @@ def sample_losses(
         losses = losses + phi * (draw.weight * bce.mean(axis=(1, 2)))
     if not np.all(np.isfinite(losses)):
         bad = int(np.flatnonzero(~np.isfinite(losses))[0])
-        raise NumericError(f"non-finite loss at batch sample {bad}")
+        raise NumericError(f"non-finite loss at batch sample {start + bad}")
     return losses

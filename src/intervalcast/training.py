@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Windows
-from .errors import ConfigError, FormatError, NumericError, TrainingError
+from .errors import ConfigError, DataError, DimensionError, FormatError, NumericError, TrainingError
 from .intervals import (
     INDICATOR,
     FULL_DOMAIN,
@@ -60,6 +60,13 @@ VALIDATION_PROBE_CELLS = 4  # probe partition for the continuous policy
 _LOOP_SEED_OFFSET = 0x9E3779B9
 
 CHECKPOINT_VERSION = 1
+
+# Cache blocking. An AdamW block of 16k entries keeps its six 128 KB
+# vector slices in L2 across the update's passes. A validation row block
+# holds about 32k target entries, so its projection, outputs and loss
+# temporaries stay a few MB however long the validation split is.
+_ADAMW_BLOCK = 16384
+_VALIDATION_BLOCK_ENTRIES = 32768
 
 
 @dataclass(frozen=True)
@@ -209,25 +216,43 @@ def adamw_update(
     The arithmetic is, operation for operation, m = b1*m + (1-b1)*g,
     v = b2*v + (1-b2)*g*g, then
     theta -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta).
+    Every entry depends only on its own index, so the sequence runs over
+    blocks of ``_ADAMW_BLOCK`` entries: a block of the four vectors and of
+    the two block-sized buffers stays in cache across all its passes. The
+    results are bitwise equal to the unblocked sequence. Raises
+    :class:`DimensionError` when theta, grad and the moments differ in size.
     """
+    size = theta.size
+    if not grad.size == state.m.size == state.v.size == size:
+        raise DimensionError(
+            f"AdamW sizes differ: theta {size}, grad {grad.size}, "
+            f"m {state.m.size}, v {state.v.size}"
+        )
     state.step += 1
-    m, v = state.m, state.v
-    scratch = np.multiply(grad, 1.0 - beta1)
-    m *= beta1
-    m += scratch
-    np.multiply(grad, 1.0 - beta2, out=scratch)
-    scratch *= grad
-    v *= beta2
-    v += scratch
-    np.divide(v, 1.0 - beta2 ** state.step, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += eps
-    update = np.divide(m, 1.0 - beta1 ** state.step)
-    update /= scratch
-    np.multiply(theta, weight_decay, out=scratch)
-    update += scratch
-    update *= lr
-    theta -= update
+    m_corr = 1.0 - beta1 ** state.step
+    v_corr = 1.0 - beta2 ** state.step
+    scratch_buf = np.empty(min(size, _ADAMW_BLOCK))
+    update_buf = np.empty_like(scratch_buf)
+    for lo in range(0, size, _ADAMW_BLOCK):
+        hi = min(lo + _ADAMW_BLOCK, size)
+        g, m, v, t = grad[lo:hi], state.m[lo:hi], state.v[lo:hi], theta[lo:hi]
+        scratch, update = scratch_buf[: hi - lo], update_buf[: hi - lo]
+        np.multiply(g, 1.0 - beta1, out=scratch)
+        m *= beta1
+        m += scratch
+        np.multiply(g, 1.0 - beta2, out=scratch)
+        scratch *= g
+        v *= beta2
+        v += scratch
+        np.divide(v, v_corr, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += eps
+        np.divide(m, m_corr, out=update)
+        update /= scratch
+        np.multiply(t, weight_decay, out=scratch)
+        update += scratch
+        update *= lr
+        t -= update
 
 
 @dataclass(frozen=True)
@@ -275,24 +300,39 @@ def validation_loss(
     The per-sample loss is the training objective of the policy
     (:func:`models.sample_losses` on the weights and labels that
     :func:`draw_batch` gives a sample conditioned on that interval). The
-    baseline simply averages the unmasked MAE. The histories are projected
-    once for all intervals. ``weights`` holds each interval's per-sample
-    loss weights; they depend only on the targets, so :func:`train`
-    computes them once per call and passes them in. They are computed here
-    when omitted.
+    baseline simply averages the unmasked MAE. ``weights`` holds each
+    interval's per-sample loss weights; they depend only on the targets, so
+    :func:`train` computes them once per call and passes them in. They are
+    computed here when omitted.
+
+    The samples run in row blocks of about ``_VALIDATION_BLOCK_ENTRIES``
+    target entries, each projected once for all intervals, so the
+    temporaries stay small however long the split is. The blocks are of
+    near-equal size, not full blocks plus a short tail, because BLAS can
+    round a product of very few rows differently from a taller one. Each
+    interval's per-sample losses fill one row of an (intervals, N) array,
+    and each row is averaged over all N samples at once, as unblocked.
     """
     H, Y = val_samples.history, val_samples.target
+    N = len(Y)
+    if N == 0:
+        raise DataError("validation needs at least one sample")
     if weights is None:
         weights = _validation_weights(policy, val_samples)
-    projection = project_histories(params, H)
+    intervals = _validation_intervals(policy)
     phi = policy.effective_phi
-    cell_losses = []
-    for iv, weight in zip(_validation_intervals(policy), weights):
-        reg, prob = forward_cells(projection, [iv])
-        bounds = np.broadcast_to([iv.lo, iv.hi], (len(Y), 2))
-        draw = BatchDraw(bounds, weight, _entry_labels(policy, Y, iv.lo, iv.hi))
-        cell_losses.append(float(sample_losses(reg[:, 0], prob[:, 0], Y, draw, phi).mean()))
-    return float(np.mean(cell_losses))
+    losses = np.empty((len(intervals), N))
+    blocks = -(-N // max(1, _VALIDATION_BLOCK_ENTRIES // math.prod(Y.shape[1:])))
+    edges = [N * i // blocks for i in range(blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        projection = project_histories(params, H[lo:hi])
+        Yb = Y[lo:hi]
+        for row, iv, weight in zip(losses, intervals, weights):
+            reg, prob = forward_cells(projection, [iv])
+            bounds = np.broadcast_to([iv.lo, iv.hi], (hi - lo, 2))
+            draw = BatchDraw(bounds, weight[lo:hi], _entry_labels(policy, Yb, iv.lo, iv.hi))
+            row[lo:hi] = sample_losses(reg[:, 0], prob[:, 0], Yb, draw, phi, start=lo)
+    return float(np.mean([row.mean() for row in losses]))
 
 
 def train(
@@ -332,8 +372,6 @@ def train(
 
     report = TrainReport()
     best_val = math.inf
-    best_theta = params.theta.copy()
-    best_opt = opt.copy()
     t0 = time.perf_counter()
     for epoch in range(epochs):
         lr = cosine_lr(epoch, epochs, lr_max, lr_min)

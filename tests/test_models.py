@@ -19,6 +19,7 @@ from intervalcast.models import (
     BatchDraw,
     ModelParams,
     _sigmoid,
+    _unpack,
     backward,
     moving_average,
     forward_batch,
@@ -271,6 +272,42 @@ def test_backward_rejects_empty_batch():
     params = init("mlp", DIMS, 2, hidden=5)
     with pytest.raises(Exception):
         backward(params, np.empty((0, 6, 2)), np.empty((0, 3, 2)), _full_domain_draw([]), 0.0)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "linear"])
+def test_unpack_views_tile_parameter_vector(kind):
+    # contiguous, disjoint and covering: backward relies on this when it
+    # leaves its gradient uninitialised and writes every view
+    params = init(kind, DIMS, 0, hidden=5, kernel=3)
+    theta = params.theta
+    base = theta.__array_interface__["data"][0]
+    spans = []
+    for view in _unpack(params.arch, theta).values():
+        assert view.flags.c_contiguous and np.shares_memory(view, theta)
+        start = (view.__array_interface__["data"][0] - base) // theta.itemsize
+        spans.append((start, start + view.size))
+    spans.sort()
+    assert spans[0][0] == 0 and spans[-1][1] == theta.size
+    assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
+
+
+@pytest.mark.parametrize("kind", ["mlp", "linear"])
+def test_backward_writes_every_gradient_entry(kind, monkeypatch):
+    # the gradient buffer is allocated uninitialised; fill it with NaN to
+    # show that no entry keeps what the allocation left in it
+    rng = np.random.default_rng(11)
+    batch = _windows(_sample(rng) for _ in range(4))
+    policy = PolicyConfig(
+        "dstar", partition=DiscretePartition(4), nu=DecaySpec(2.0), phi=0.5
+    )
+    draw = draw_batch(policy, batch.target, rng)
+    params = init(kind, DIMS, 12, hidden=5, kernel=3, use_covariate=True)
+    _, expected = backward(params, batch.history, batch.target, draw, 0.5)
+    nan_filled = lambda a, *args, **kw: np.full_like(a, np.nan, *args, **kw)
+    monkeypatch.setattr(np, "empty_like", nan_filled)
+    _, grad = backward(params, batch.history, batch.target, draw, 0.5)
+    assert np.all(np.isfinite(grad))
+    assert grad.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["mlp", "linear"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +22,11 @@ from intervalcast import (
     save_checkpoint,
     train,
 )
-from intervalcast.errors import ConfigError, TrainingError
+from intervalcast.errors import ConfigError, DataError, DimensionError, NumericError, TrainingError
 from intervalcast.intervals import INDICATOR, entries_inside, target_weights
 from intervalcast.models import BatchDraw, backward, init, sample_losses
 from concat_forward import concat_forward
+import intervalcast.training as training
 from intervalcast.training import AdamwState, adamw_update
 from per_sample_draw import per_sample_draw
 
@@ -238,26 +240,56 @@ def test_adamw_decoupled_decay_moves_toward_zero():
 
 
 def test_adamw_update_matches_reference_formula_bitwise():
-    # the in-place update reproduces the textbook expression exactly
-    # (decoupled decay, Loshchilov & Hutter) over several steps
-    rng = np.random.default_rng(13)
-    theta = rng.normal(size=1000)
-    ref_theta, ref_m, ref_v = theta.copy(), np.zeros(1000), np.zeros(1000)
-    state = AdamwState.zeros(1000)
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    for step in range(1, 8):
-        grad = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=1000)
-        lr, wd = 1e-3 / step, 0.01 * step
-        adamw_update(state, theta, grad, lr, wd)
-        ref_m = b1 * ref_m + (1.0 - b1) * grad
-        ref_v = b2 * ref_v + (1.0 - b2) * grad * grad
-        m_hat = ref_m / (1.0 - b1 ** step)
-        v_hat = ref_v / (1.0 - b2 ** step)
-        ref_theta -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * ref_theta)
-        assert state.step == step
-        assert theta.tobytes() == ref_theta.tobytes()
-        assert state.m.tobytes() == ref_m.tobytes()
-        assert state.v.tobytes() == ref_v.tobytes()
+    # the in-place, blocked update reproduces the textbook expression
+    # exactly (decoupled decay, Loshchilov & Hutter) over several steps,
+    # for sizes below, at and around the block size
+    block = training._ADAMW_BLOCK
+    for size in (1000, 1, block - 1, block, block + 1, 3 * block + 7):
+        rng = np.random.default_rng(13)
+        theta = rng.normal(size=size)
+        ref_theta, ref_m, ref_v = theta.copy(), np.zeros(size), np.zeros(size)
+        state = AdamwState.zeros(size)
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for step in range(1, 8):
+            grad = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=size)
+            lr, wd = 1e-3 / step, 0.01 * step
+            adamw_update(state, theta, grad, lr, wd)
+            ref_m = b1 * ref_m + (1.0 - b1) * grad
+            ref_v = b2 * ref_v + (1.0 - b2) * grad * grad
+            m_hat = ref_m / (1.0 - b1 ** step)
+            v_hat = ref_v / (1.0 - b2 ** step)
+            ref_theta -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * ref_theta)
+            assert state.step == step
+            assert theta.tobytes() == ref_theta.tobytes(), size
+            assert state.m.tobytes() == ref_m.tobytes(), size
+            assert state.v.tobytes() == ref_v.tobytes(), size
+
+
+@pytest.mark.parametrize("short", ["grad", "m", "v"])
+def test_adamw_update_rejects_mismatched_sizes(short):
+    state = AdamwState.zeros(10)
+    theta, grad = np.ones(10), np.ones(10)
+    if short == "grad":
+        grad = np.ones(9)
+    else:
+        setattr(state, short, np.zeros(9))
+    with pytest.raises(DimensionError, match="sizes differ"):
+        adamw_update(state, theta, grad, 1e-3, 0.0)
+    assert state.step == 0 and np.all(theta == 1.0)
+
+
+def test_adamw_update_allocates_less_than_one_vector():
+    # two block-sized buffers, not full-size temporaries
+    size = 1_000_000
+    state = AdamwState.zeros(size)
+    theta, grad = np.ones(size), np.full(size, 0.5)
+    tracemalloc.start()
+    try:
+        adamw_update(state, theta, grad, 1e-3, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < theta.nbytes
 
 
 def test_loss_scale_property():
@@ -473,10 +505,59 @@ def test_validation_loss_matches_concatenated_input_reference(kind, policy):
     assert got == pytest.approx(float(np.mean(cell_losses)), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("kind", ["mlp", "linear"])
+@pytest.mark.parametrize("policy", [
+    PolicyConfig("b"),
+    PolicyConfig("e2e", task_interval=Interval(0.25, 0.75)),
+    PolicyConfig("c", delta=0.2),
+    PolicyConfig("d", partition=DiscretePartition(4)),
+    PolicyConfig("dstar", partition=DiscretePartition(4), nu=DecaySpec(2.0), phi=0.5),
+], ids=lambda p: p.kind)
+def test_validation_loss_row_blocks_match_one_block(kind, policy, monkeypatch):
+    # 30 samples of 4 target entries: one block by default; a 32-entry
+    # budget gives 8 rows per block, which 30 is not a multiple of, so the
+    # samples run in near-equal blocks of 7, 8, 7 and 8 rows
+    rng = np.random.default_rng(14)
+    val = _windows(
+        (rng.uniform(0, 1, (4, 2)), rng.uniform(0, 1, (2, 2))) for i in range(30)
+    )
+    params = init(kind, (4, 2, 2), 3, hidden=3, kernel=3, use_covariate=policy.uses_covariate)
+    one_block = training.validation_loss(params, policy, val)
+    blocks = []
+    real = training.project_histories
+
+    def recording(params, histories):
+        blocks.append(len(histories))
+        return real(params, histories)
+
+    monkeypatch.setattr(training, "project_histories", recording)
+    monkeypatch.setattr(training, "_VALIDATION_BLOCK_ENTRIES", 32)
+    got = training.validation_loss(params, policy, val)
+    assert blocks == [7, 8, 7, 8]
+    assert got == pytest.approx(one_block, rel=1e-12, abs=0.0)
+
+
+def test_validation_loss_names_non_finite_sample_across_row_blocks(monkeypatch):
+    rng = np.random.default_rng(15)
+    histories = rng.uniform(0, 1, (30, 4, 2))
+    histories[17] = np.nan
+    val = Windows(histories, rng.uniform(0, 1, (30, 2, 2)), np.arange(30))
+    params = init("mlp", (4, 2, 2), 3, hidden=3, use_covariate=False)
+    monkeypatch.setattr(training, "_VALIDATION_BLOCK_ENTRIES", 32)
+    with pytest.raises(NumericError, match="non-finite loss at batch sample 17"):
+        training.validation_loss(params, PolicyConfig("b"), val)
+
+
+def test_validation_loss_rejects_empty_split():
+    params = init("mlp", (4, 2, 2), 3, hidden=3, use_covariate=False)
+    empty = Windows(np.empty((0, 4, 2)), np.empty((0, 2, 2)), np.arange(0))
+    with pytest.raises(DataError, match="at least one sample"):
+        training.validation_loss(params, PolicyConfig("b"), empty)
+
+
 def test_train_computes_validation_weights_once(monkeypatch):
     # the validation targets never change, so their per-cell weights are
     # computed once per train() call, not once per epoch
-    import intervalcast.training as training
 
     tr, va, _ = _synth_splits()
     val = va[:37]  # no training batch has 37 samples
