@@ -13,7 +13,6 @@ from .data import (
     WindowConfig,
     Windows,
     chrono_split,
-    denormalize,
     generate_synthds,
     load_csv,
     make_windows,
@@ -59,7 +58,6 @@ from .intervals import (
     FULL_DOMAIN,
     INDICATOR,
     Interval,
-    UniformSampler,
     intersecting,
     target_weights,
 )
@@ -73,8 +71,6 @@ from .models import (
 )
 from .numeric import GradCheckReport, check_gradient
 from .patching import (
-    PatchRequest,
-    PatchTrace,
     STRATEGY_AVERAGE,
     STRATEGY_MAXCONF,
     forecast,

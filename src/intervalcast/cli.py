@@ -5,8 +5,9 @@ one seed), ``eval`` (Table-style per-interval comparison of checkpoints),
 ``sweep`` (hyperparameter grids over L, nu, or delta), and ``energy`` (the
 threshold study and forecast-vs-truth decision comparison).
 
-Flag precedence: command line > config file (simple KEY=VALUE lines) >
-defaults. The default output directory comes from INTERVALCAST_OUT when set.
+Flag precedence: command line > config file (simple KEY=VALUE lines, each
+KEY a flag name such as ``L`` or ``data-seed``) > defaults. The default
+output directory comes from INTERVALCAST_OUT when set.
 All result files are plain CSV; timestamps appear only in ``train.log`` so
 repeated runs with identical flags are byte-identical.
 """
@@ -49,11 +50,13 @@ from .evaluation import (
     write_table_csv,
 )
 from .intervals import DecaySpec, DiscretePartition, Interval
-from .patching import STRATEGY_AVERAGE, STRATEGY_MAXCONF
+from .patching import STRATEGIES, STRATEGY_AVERAGE, STRATEGY_MAXCONF
 from .training import (
     DEFAULT_BATCH,
     DEFAULT_EPOCHS,
     DEFAULT_PATIENCE,
+    POLICY_FIELDS,
+    POLICY_KINDS,
     PolicyConfig,
     load_checkpoint,
     save_checkpoint,
@@ -139,6 +142,11 @@ def _parse_thresholds(text: str, flag: str = "--thresholds") -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
+def _config_key(name: str) -> str:
+    """A config key or a long flag without its dashes, as config files match them."""
+    return name.strip().lower().replace("-", "_")
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     values = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -148,7 +156,7 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected KEY=VALUE, got {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip().lower().replace("-", "_")] = value.strip()
+        values[_config_key(key)] = value.strip()
     return values
 
 
@@ -187,23 +195,23 @@ def _test_series(series: TimeSeries, cfg: WindowConfig, test_samples) -> TimeSer
     return TimeSeries(values, series.channel_names, series.domain_max)
 
 
+# The flag that sets each optional PolicyConfig field; its dest is the flag
+# name without the dashes.
+_POLICY_FIELD_FLAGS = {
+    "task_interval": "--interval",
+    "delta": "--delta",
+    "partition": "--L",
+    "nu": "--nu",
+    "phi": "--phi",
+}
+
+
 def _warn_ignored_flags(args) -> None:
     """One stderr warning per policy flag that ``args.policy`` does not take."""
-    kind = args.policy
-    ignored = []
-    if kind != "e2e" and args.interval is not None:
-        ignored.append("--interval")
-    if kind != "c" and args.delta is not None:
-        ignored.append("--delta")
-    if kind not in ("d", "dstar") and args.L is not None:
-        ignored.append("--L")
-    if kind != "dstar":
-        if args.nu is not None:
-            ignored.append("--nu")
-        if args.phi is not None:
-            ignored.append("--phi")
-    for flag in ignored:
-        print(f"warning: {flag} is ignored by the {kind} policy", file=sys.stderr)
+    taken = POLICY_FIELDS[args.policy]
+    for name, flag in _POLICY_FIELD_FLAGS.items():
+        if name not in taken and getattr(args, flag[2:]) is not None:
+            print(f"warning: {flag} is ignored by the {args.policy} policy", file=sys.stderr)
 
 
 def _policy_from_args(args) -> PolicyConfig:
@@ -374,9 +382,7 @@ def cmd_sweep(args) -> int:
     _warn_ignored_flags(swept[0])  # the swept flag is never ignored, so once covers all
     for value, value_args in zip(values, swept):
         policy = _policy_from_args(value_args)
-        strategies = (
-            (STRATEGY_AVERAGE, STRATEGY_MAXCONF) if policy.kind == "dstar" else (STRATEGY_AVERAGE,)
-        )
+        strategies = STRATEGIES if policy.kind == "dstar" else (STRATEGY_AVERAGE,)
         per_strategy: dict[str, list[float]] = {s: [] for s in strategies}
         value_text = value.nu if isinstance(value, DecaySpec) else value
         for seed in seeds:
@@ -498,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train one policy with one seed")
-    p.add_argument("--policy", choices=("b", "e2e", "c", "d", "dstar"), default=None)
+    p.add_argument("--policy", choices=POLICY_KINDS, default=None)
     p.add_argument("--seed", type=int, default=0)
     _add_data_flags(p)
     _add_model_flags(p)
@@ -510,8 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="per-interval comparison table for checkpoints")
     p.add_argument("--checkpoints", default=None, help="comma-separated checkpoint paths")
     p.add_argument("--L", type=int, default=4, help="evaluation partition size")
-    p.add_argument("--strategy", choices=(STRATEGY_AVERAGE, STRATEGY_MAXCONF),
-                   default=STRATEGY_AVERAGE)
+    p.add_argument("--strategy", choices=STRATEGIES, default=STRATEGY_AVERAGE)
     p.add_argument("--native", action="store_true", help="report MAE in native units")
     _add_data_flags(p)
     p.add_argument("--out", default=None)
@@ -557,22 +562,32 @@ def _extract_config_path(argv: list[str]) -> str | None:
 
 
 def _typed_config(command_parser: argparse.ArgumentParser, raw: dict[str, str]) -> dict:
-    """Convert KEY=VALUE strings through each flag's declared type."""
-    actions = {a.dest: a for a in command_parser._actions}
+    """Convert KEY=VALUE strings through each flag's declared type.
+
+    A key names a flag by its long option without the dashes (``L``,
+    ``lambda``, ``data-seed`` or ``data_seed``), in any case. The result is
+    keyed by each flag's dest, ready for ``set_defaults``.
+    """
+    actions = {
+        _config_key(option[2:]): a
+        for a in command_parser._actions
+        for option in a.option_strings
+        if option.startswith("--")
+    }
     out = {}
     for key, value in raw.items():
         if key not in actions:
             raise ConfigError(f"unknown config key {key!r}")
         action = actions[key]
         if isinstance(action, argparse._StoreTrueAction):
-            out[key] = value.strip().lower() in ("1", "true", "yes", "on")
+            out[action.dest] = value.strip().lower() in ("1", "true", "yes", "on")
         elif action.type is not None:
             try:
-                out[key] = action.type(value)
+                out[action.dest] = action.type(value)
             except ValueError:
                 raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from None
         else:
-            out[key] = value
+            out[action.dest] = value
     return out
 
 

@@ -122,9 +122,8 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class ScaleRecord:
-    """Inverse-transform record produced by :func:`normalize`."""
+    """What :func:`normalize` did to the data: the count of clipped entries."""
 
-    domain_max: float
     clipped_entries: int
 
 
@@ -180,14 +179,7 @@ def normalize(series: TimeSeries) -> tuple[TimeSeries, ScaleRecord]:
     scaled = series.values / series.domain_max
     clipped = int(np.count_nonzero((scaled < 0.0) | (scaled > 1.0)))
     out = TimeSeries(np.clip(scaled, 0.0, 1.0), series.channel_names, 1.0)
-    return out, ScaleRecord(series.domain_max, clipped)
-
-
-def denormalize(series: TimeSeries, record: ScaleRecord) -> TimeSeries:
-    """Exact inverse of :func:`normalize` for values that were not clipped."""
-    return TimeSeries(
-        series.values * record.domain_max, series.channel_names, record.domain_max
-    )
+    return out, ScaleRecord(clipped)
 
 
 def synth_hypothesis(k: int) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 A capacity cell is deactivated whenever utilization falls below a threshold;
 offloaded traffic is served by the coverage cell at degraded rate. The
-simulator books realized throughput and energy per step and scores a
-threshold by the trade-off objective (1 - lambda) * mean_throughput -
-lambda * mean_energy.
+simulator books realized throughput and energy per step, keeps only their
+means and the sleep count, and scores a threshold by the trade-off
+objective (1 - lambda) * mean_throughput - lambda * mean_energy.
 """
 
 from __future__ import annotations
@@ -50,20 +50,13 @@ class EnergySimConfig:
 
 @dataclass
 class SimOutcome:
-    """Per-step bookkeeping and the averaged figures for one threshold."""
+    """The averaged figures for one threshold; no per-step array is kept."""
 
     threshold: float
-    states: np.ndarray       # 1 = capacity cell active, 0 = sleeping
-    load: np.ndarray         # Mbps offered
-    throughput: np.ndarray   # Mbps realized
-    energy: np.ndarray       # Wh per step
-    r_bar: float
-    e_bar: float
+    r_bar: float        # mean realized throughput, Mbps
+    e_bar: float        # mean energy, Wh per step
     objective: float
-
-    @property
-    def sleep_steps(self) -> int:
-        return int((self.states == 0).sum())
+    sleep_steps: int    # steps with the capacity cell asleep
 
 
 def _check_utilization(u: np.ndarray) -> np.ndarray:
@@ -87,7 +80,11 @@ def decide(u: np.ndarray, u_th: float) -> np.ndarray:
 
 
 def simulate(u: np.ndarray, u_th: float, cfg: EnergySimConfig) -> SimOutcome:
-    """Run the threshold policy over the trace and book throughput and energy."""
+    """Run the threshold policy over the trace and average throughput and energy.
+
+    The per-step states, load, throughput and energy are temporaries of
+    this call; only their means and the sleep count are returned.
+    """
     u = _check_utilization(u)
     states = decide(u, u_th)
     load = u * cfg.c_cap
@@ -100,7 +97,8 @@ def simulate(u: np.ndarray, u_th: float, cfg: EnergySimConfig) -> SimOutcome:
     r_bar = float(throughput.mean())
     e_bar = float(energy.mean())
     objective = (1.0 - cfg.lam) * r_bar - cfg.lam * e_bar
-    return SimOutcome(u_th, states, load, throughput, energy, r_bar, e_bar, objective)
+    sleep_steps = int((states == 0).sum())
+    return SimOutcome(u_th, r_bar, e_bar, objective, sleep_steps)
 
 
 def default_threshold_grid() -> np.ndarray:

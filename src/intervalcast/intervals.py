@@ -1,16 +1,16 @@
 """Interval algebra for the conditioning covariate.
 
-Contains the two interval distributions (continuous with a minimum length,
-discrete over an equal-length partition), the one membership rule for
-target values, the exponential decay weight that softens the interval
-indicator, and the partition-intersection map used by the patching
-strategies. The draws themselves are batched in the training module.
+Contains the interval itself, the equal-length partition of [0, 1], the one
+membership rule for target values, the exponential decay weight that
+softens the interval indicator, and the partition-intersection map used by
+the patching strategies. The interval draws of the training policies are
+batched in the training module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,14 +39,6 @@ class Interval:
                 f"invalid interval [{self.lo}, {self.hi}]: need 0 <= lo <= hi <= 1"
             )
 
-    @property
-    def midpoint(self) -> float:
-        return (self.hi + self.lo) / 2.0
-
-    @property
-    def half_width(self) -> float:
-        return (self.hi - self.lo) / 2.0
-
     def __str__(self) -> str:
         return f"[{self.lo:g}, {self.hi:g}]"
 
@@ -55,48 +47,17 @@ FULL_DOMAIN = Interval(0.0, 1.0)
 
 
 @dataclass(frozen=True)
-class UniformSampler:
-    """Uniform distribution over intervals of length at least ``delta``.
-
-    The distribution is factorized: lo ~ U[0, 1-delta], then
-    hi ~ U[lo+delta, 1].
-    """
-
-    delta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", float(self.delta))
-        if not (0.0 <= self.delta < 1.0):
-            raise ConfigError(f"delta must be in [0, 1), got {self.delta}")
-
-
-@dataclass(frozen=True)
 class DiscretePartition:
     """``L`` equal-length cells ``[i/L, (i+1)/L]`` covering [0, 1]."""
 
     L: int
-    intervals: tuple[Interval, ...] = ()
+    intervals: tuple[Interval, ...] = field(init=False)
 
     def __post_init__(self):
         if self.L < 1:
             raise ConfigError(f"partition size must be >= 1, got {self.L}")
-        if not self.intervals:
-            cells = tuple(
-                Interval(i / self.L, (i + 1) / self.L) for i in range(self.L)
-            )
-            object.__setattr__(self, "intervals", cells)
-            return
-        if len(self.intervals) != self.L:
-            raise ConfigError(
-                f"partition declares L={self.L} but holds {len(self.intervals)} cells"
-            )
-        if self.intervals[0].lo != 0.0 or self.intervals[-1].hi != 1.0:
-            raise ConfigError("partition cells must cover [0, 1] exactly")
-        for left, right in zip(self.intervals, self.intervals[1:]):
-            if left.hi != right.lo:
-                raise ConfigError(
-                    f"partition cells must be contiguous: {left} then {right}"
-                )
+        cells = tuple(Interval(i / self.L, (i + 1) / self.L) for i in range(self.L))
+        object.__setattr__(self, "intervals", cells)
 
 
 @dataclass(frozen=True)

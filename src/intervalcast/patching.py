@@ -3,12 +3,11 @@
 Two strategies over the partition cells that intersect the query: a
 confidence-weighted average of the cells' regression outputs, and the single
 output of the most confident cell. A cell's scalar confidence is the mean of
-its tau x n probability head.
+its tau x n probability head; the confidences live only inside
+:func:`patch`, which returns the composed forecast alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,39 +23,9 @@ STRATEGIES = (STRATEGY_AVERAGE, STRATEGY_MAXCONF)
 CONFIDENCE_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class PatchRequest:
-    """One patched-forecast request over a trained partition.
-
-    ``history`` is one (w, n) history or a (B, w, n) stack of histories,
-    all served for the same query.
-    """
-
-    history: np.ndarray
-    query: Interval
-    partition: DiscretePartition
-    strategy: str = STRATEGY_AVERAGE
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise UnsupportedQueryError(
-                f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
-            )
-
-
-@dataclass
-class PatchTrace:
-    """Diagnostic record of one patching call, as computed.
-
-    ``confidences`` is (k,) and ``predictions`` (k, tau, n), one row per
-    cell in ``cells``; a (B, w, n) stack of histories adds a leading B
-    axis to both and to ``final``.
-    """
-
-    cells: list[Interval]
-    confidences: np.ndarray
-    predictions: np.ndarray
-    final: np.ndarray
+def _check_strategy(strategy: str) -> None:
+    if strategy not in STRATEGIES:
+        raise UnsupportedQueryError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
 
 
 def _cell_outputs(
@@ -78,7 +47,13 @@ def _cell_outputs(
     return reg.reshape(lead + reg.shape[1:]), conf.reshape(lead + (len(cells),))
 
 
-def patch(params: ModelParams, request: PatchRequest) -> tuple[np.ndarray, PatchTrace]:
+def patch(
+    params: ModelParams,
+    history: np.ndarray,
+    query: Interval,
+    partition: DiscretePartition,
+    strategy: str = STRATEGY_AVERAGE,
+) -> np.ndarray:
     """Compose the outputs of the partition cells that intersect the query.
 
     With ``avg`` the result is the confidence-weighted average of the cells'
@@ -88,20 +63,21 @@ def patch(params: ModelParams, request: PatchRequest) -> tuple[np.ndarray, Patch
     the single highest-confidence cell; ties go to the lower cell. A
     (B, w, n) stack of histories is served in one pass and gives (B, tau, n)
     forecasts, each equal to patching its history alone up to float
-    rounding.
+    rounding. An unknown strategy raises :class:`UnsupportedQueryError`.
     """
-    cells = intersecting(request.partition, request.query)
-    reg, conf = _cell_outputs(params, request.history, cells)
+    _check_strategy(strategy)
+    cells = intersecting(partition, query)
+    reg, conf = _cell_outputs(params, history, cells)
     unclaimed = conf.max(axis=-1) <= CONFIDENCE_FLOOR
     if unclaimed.any():
         which = "the input" if conf.ndim == 1 else (
             f"history {np.flatnonzero(unclaimed)[0]} of the stack"
         )
         raise DegenerateConfidenceError(
-            f"no cell claims {which} for query {request.query}: "
+            f"no cell claims {which} for query {query}: "
             f"all confidences <= {CONFIDENCE_FLOOR}"
         )
-    if request.strategy == STRATEGY_AVERAGE:
+    if strategy == STRATEGY_AVERAGE:
         weights = conf / conf.sum(axis=-1, keepdims=True)
         pred = (weights[..., None, None] * reg).sum(axis=-3)
         # np.clip, without its per-call overhead
@@ -111,7 +87,7 @@ def patch(params: ModelParams, request: PatchRequest) -> tuple[np.ndarray, Patch
         rows = reg.reshape((-1,) + reg.shape[-3:])
         best = rows[np.arange(len(rows)), conf.argmax(axis=-1).reshape(-1)]
         pred = best.reshape(unclaimed.shape + reg.shape[-2:])
-    return pred, PatchTrace(cells, conf, reg, pred)
+    return pred
 
 
 def _served_cell(policy: PolicyConfig, query: Interval) -> Interval:
@@ -145,9 +121,12 @@ def forecast(
     query; the discretized policy serves exact partition cells only; the
     patching-augmented policy composes cells with the requested strategy.
     ``history`` is one (w, n) history, giving a (tau, n) forecast, or a
-    (B, w, n) stack, giving (B, tau, n) forecasts from one pass.
+    (B, w, n) stack, giving (B, tau, n) forecasts from one pass. An unknown
+    strategy raises :class:`UnsupportedQueryError` for every policy, though
+    only the patching-augmented one reads it.
     """
+    _check_strategy(strategy)
     if policy.kind == "dstar":
-        return patch(params, PatchRequest(history, query, policy.partition, strategy))[0]
+        return patch(params, history, query, policy.partition, strategy)
     reg, _ = _cell_outputs(params, history, [_served_cell(policy, query)])
     return reg[..., 0, :, :]

@@ -32,7 +32,6 @@ from .intervals import (
     DecaySpec,
     DiscretePartition,
     Interval,
-    UniformSampler,
     entries_inside,
     target_weights,
 )
@@ -47,10 +46,22 @@ from .models import (
     sample_losses,
 )
 
-POLICY_KINDS = ("b", "e2e", "c", "d", "dstar")
+# The optional PolicyConfig fields each policy kind takes; every other one
+# must be absent. The CLI reads this table to warn about ignored flags.
+POLICY_FIELDS = {
+    "b": (),
+    "e2e": ("task_interval",),
+    "c": ("delta",),
+    "d": ("partition",),
+    "dstar": ("partition", "nu", "phi"),
+}
+POLICY_KINDS = tuple(POLICY_FIELDS)
 
 LR_MAX = 1e-3
 LR_MIN = 1e-5
+ADAMW_BETA1 = 0.9
+ADAMW_BETA2 = 0.999
+ADAMW_EPS = 1e-8
 DEFAULT_EPOCHS = 50
 DEFAULT_BATCH = 32
 DEFAULT_PATIENCE = 5
@@ -91,13 +102,7 @@ class PolicyConfig:
             raise ConfigError(f"unknown policy kind {self.kind!r}, expected one of {POLICY_KINDS}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        required = {
-            "b": (),
-            "e2e": ("task_interval",),
-            "c": ("delta",),
-            "d": ("partition",),
-            "dstar": ("partition", "nu", "phi"),
-        }[self.kind]
+        required = POLICY_FIELDS[self.kind]
         for name in ("task_interval", "delta", "partition", "nu", "phi"):
             value = getattr(self, name)
             if name in required and value is None:
@@ -106,8 +111,8 @@ class PolicyConfig:
                 raise ConfigError(f"policy {self.kind!r} does not take {name}")
         if self.phi is not None and not (0.0 <= self.phi <= 1.0):
             raise ConfigError(f"phi must be in [0, 1], got {self.phi}")
-        if self.delta is not None:
-            UniformSampler(self.delta)  # range check
+        if self.delta is not None and not (0.0 <= self.delta < 1.0):
+            raise ConfigError(f"delta must be in [0, 1), got {float(self.delta)}")
 
     @property
     def uses_covariate(self) -> bool:
@@ -180,9 +185,9 @@ def _entry_labels(policy: PolicyConfig, targets: np.ndarray, lo, hi) -> np.ndarr
     return entries_inside(targets, lo, hi).astype(np.float64)
 
 
-def cosine_lr(epoch: int, n_epochs: int, lr_max: float = LR_MAX, lr_min: float = LR_MIN) -> float:
-    """lr_min + 0.5 * (lr_max - lr_min) * (1 + cos(pi * epoch / n_epochs))."""
-    return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * epoch / n_epochs))
+def cosine_lr(epoch: int, n_epochs: int) -> float:
+    """LR_MIN + 0.5 * (LR_MAX - LR_MIN) * (1 + cos(pi * epoch / n_epochs))."""
+    return LR_MIN + 0.5 * (LR_MAX - LR_MIN) * (1.0 + math.cos(math.pi * epoch / n_epochs))
 
 
 @dataclass
@@ -207,15 +212,14 @@ def adamw_update(
     grad: np.ndarray,
     lr: float,
     weight_decay: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One decoupled-weight-decay Adam step, in place on theta and both moments.
 
     The arithmetic is, operation for operation, m = b1*m + (1-b1)*g,
     v = b2*v + (1-b2)*g*g, then
-    theta -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta).
+    theta -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta),
+    with b1, b2 and eps the ``ADAMW_BETA1``, ``ADAMW_BETA2`` and
+    ``ADAMW_EPS`` constants.
     Every entry depends only on its own index, so the sequence runs over
     blocks of ``_ADAMW_BLOCK`` entries: a block of the four vectors and of
     the two block-sized buffers stays in cache across all its passes. The
@@ -229,24 +233,24 @@ def adamw_update(
             f"m {state.m.size}, v {state.v.size}"
         )
     state.step += 1
-    m_corr = 1.0 - beta1 ** state.step
-    v_corr = 1.0 - beta2 ** state.step
+    m_corr = 1.0 - ADAMW_BETA1 ** state.step
+    v_corr = 1.0 - ADAMW_BETA2 ** state.step
     scratch_buf = np.empty(min(size, _ADAMW_BLOCK))
     update_buf = np.empty_like(scratch_buf)
     for lo in range(0, size, _ADAMW_BLOCK):
         hi = min(lo + _ADAMW_BLOCK, size)
         g, m, v, t = grad[lo:hi], state.m[lo:hi], state.v[lo:hi], theta[lo:hi]
         scratch, update = scratch_buf[: hi - lo], update_buf[: hi - lo]
-        np.multiply(g, 1.0 - beta1, out=scratch)
-        m *= beta1
+        np.multiply(g, 1.0 - ADAMW_BETA1, out=scratch)
+        m *= ADAMW_BETA1
         m += scratch
-        np.multiply(g, 1.0 - beta2, out=scratch)
+        np.multiply(g, 1.0 - ADAMW_BETA2, out=scratch)
         scratch *= g
-        v *= beta2
+        v *= ADAMW_BETA2
         v += scratch
         np.divide(v, v_corr, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += eps
+        scratch += ADAMW_EPS
         np.divide(m, m_corr, out=update)
         update /= scratch
         np.multiply(t, weight_decay, out=scratch)
@@ -345,8 +349,6 @@ def train(
     epochs: int = DEFAULT_EPOCHS,
     batch_size: int = DEFAULT_BATCH,
     patience: int = DEFAULT_PATIENCE,
-    lr_max: float = LR_MAX,
-    lr_min: float = LR_MIN,
     hidden: int = 64,
     kernel: int = 25,
 ) -> tuple[ModelParams, TrainReport, AdamwState]:
@@ -374,7 +376,7 @@ def train(
     best_val = math.inf
     t0 = time.perf_counter()
     for epoch in range(epochs):
-        lr = cosine_lr(epoch, epochs, lr_max, lr_min)
+        lr = cosine_lr(epoch, epochs)
         order = loop_rng.permutation(len(train_samples))
         batch_losses = []
         weight_sum = 0.0

@@ -35,7 +35,9 @@ def target_weight(target: np.ndarray, interval: Interval, spec) -> float:
     if math.isinf(spec.nu):
         inside = _inside(t, interval)
         return float(inside.all(axis=(1, 2)).astype(np.float64)[0])
-    excess = np.maximum(0.0, np.abs(t - interval.midpoint) - interval.half_width)
+    midpoint = (interval.hi + interval.lo) / 2.0
+    half_width = (interval.hi - interval.lo) / 2.0
+    excess = np.maximum(0.0, np.abs(t - midpoint) - half_width)
     return float(np.exp(-spec.nu * excess).prod(axis=(1, 2))[0])
 
 

@@ -13,7 +13,6 @@ tolerance. See the decisions ledger for the full analysis and measurements.
 
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from intervalcast.data import synth_hypothesis
 from intervalcast.evaluation import interval_mae
 from intervalcast.intervals import target_weights
 from intervalcast.models import ModelParams, backward, forward_batch, init
-from intervalcast.patching import PatchRequest, forecast, patch
+from intervalcast.patching import _cell_outputs, forecast, intersecting, patch
 from intervalcast.training import draw_batch
 
 DATA_SEED = 15       # fixed trace seed; all four hypotheses appear in the
@@ -182,15 +181,15 @@ def test_criterion_4_patching_contracts():
     query = Interval(0.75, 1.0)
     cells_ok = envelope_ok = copy_ok = True
     for s in te[:50]:
-        request = PatchRequest(s.history, query, policy.partition)
-        pred, trace = patch(params, request)
-        cells_ok &= len(trace.cells) == 2
-        regs = np.stack(trace.predictions)
+        pred = patch(params, s.history, query, policy.partition)
+        cells = intersecting(policy.partition, query)
+        cells_ok &= len(cells) == 2
+        regs, _ = _cell_outputs(params, s.history, cells)
         envelope_ok &= bool(
             np.all(pred >= regs.min(axis=0)) and np.all(pred <= regs.max(axis=0))
         )
-        pred_max, trace_max = patch(params, replace(request, strategy="max"))
-        copy_ok &= any(np.array_equal(pred_max, r) for r in trace_max.predictions)
+        pred_max = patch(params, s.history, query, policy.partition, "max")
+        copy_ok &= any(np.array_equal(pred_max, r) for r in regs)
     ok = cells_ok and envelope_ok and copy_ok
     _report(
         4, "patching contracts",
@@ -303,9 +302,9 @@ def test_criterion_7_energy_oracles():
             and errs.energy_error_wh == 0.0
         )
     out = ic.simulate(np.array([0.5]), 0.6, cfg)
-    hand_ok = out.states[0] == 0 and out.throughput[0] == pytest.approx(15.0)
+    hand_ok = out.sleep_steps == 1 and out.r_bar == pytest.approx(15.0)
     ok = ok and hand_ok
-    _report(7, "energy-sim oracle equivalence", ok, f"R(t)={out.throughput[0]:.1f} Mbps")
+    _report(7, "energy-sim oracle equivalence", ok, f"R(t)={out.r_bar:.1f} Mbps")
     assert ok
 
 

@@ -266,6 +266,37 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
+def test_config_keys_are_flag_names(tmp_path):
+    # --L and --lambda store to dests L and lam; a key names the flag, in any
+    # case, with - and _ alike, and acts as the flag would
+    fast = ["--w", "12", "--tau", "6", "--epochs", "3", "--hidden", "6", "--seed", "0"]
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("policy=dstar\nL=8\nnu=1\ndata-seed=3\nnoise_sd=0\n")
+    by_config, by_flags = tmp_path / "config", tmp_path / "flags"
+    assert main(["train", "--config", str(cfg), "--out", str(by_config)] + fast) == 0
+    assert main([
+        "train", "--policy", "dstar", "--L", "8", "--nu", "1", "--data-seed", "3",
+        "--noise-sd", "0", "--out", str(by_flags),
+    ] + fast) == 0
+    checkpoint = (by_config / "checkpoint.json").read_bytes()
+    assert json.loads(checkpoint)["policy"]["L"] == 8
+    assert checkpoint == (by_flags / "checkpoint.json").read_bytes()
+
+    trace = tmp_path / "u.csv"
+    values = np.linspace(0, 0.05, 50)
+    trace.write_text("u\n" + "\n".join(repr(float(v)) for v in values) + "\n")
+    cfg = tmp_path / "energy.cfg"
+    cfg.write_text("lambda=0.3\n")
+    assert main(["energy", "--trace", str(trace), "--config", str(cfg),
+                 "--out", str(tmp_path / "e_config")]) == 0
+    assert main(["energy", "--trace", str(trace), "--lambda", "0.3",
+                 "--out", str(tmp_path / "e_flags")]) == 0
+    assert main(["energy", "--trace", str(trace), "--out", str(tmp_path / "e_default")]) == 0
+    table = (tmp_path / "e_config" / "thresholds.csv").read_bytes()
+    assert table == (tmp_path / "e_flags" / "thresholds.csv").read_bytes()
+    assert table != (tmp_path / "e_default" / "thresholds.csv").read_bytes()
+
+
 def test_env_var_default_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("INTERVALCAST_OUT", str(tmp_path / "envout"))
     assert main(["generate", "--seed", "0"]) == 0

@@ -7,7 +7,6 @@ from intervalcast import (
     WindowConfig,
     Windows,
     chrono_split,
-    denormalize,
     generate_synthds,
     load_csv,
     make_windows,
@@ -164,14 +163,6 @@ def test_normalize_clips_and_counts():
 def test_normalize_rejects_nonpositive_max():
     with pytest.raises(ConfigError):
         normalize(_series([1.0, 2.0], domain_max=0.0))
-
-
-def test_normalize_round_trip():
-    rng = np.random.default_rng(1)
-    series = _series(rng.uniform(0, 500, size=(40, 3)), domain_max=500.0)
-    out, record = normalize(series)
-    back = denormalize(out, record)
-    assert np.abs(back.values - series.values).max() < 1e-12
 
 
 # ---------------------------------------------------------------- synthetic trace

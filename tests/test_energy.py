@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,16 +37,17 @@ def test_decide_validates_ranges():
 
 
 def test_simulate_load_formula():
+    # one active step below capacity serves its whole load, L = u * c_cap
     out = simulate(np.array([0.5]), 0.0, CFG)
-    assert out.load[0] == pytest.approx(50.0)
-    assert out.throughput[0] == pytest.approx(50.0)  # active, below capacity
+    assert out.sleep_steps == 0
+    assert out.r_bar == pytest.approx(50.0)
 
 
 def test_simulate_offload_degradation():
     # sleeping state: R = alpha * min(L, c_cov) = 0.5 * min(50, 30) = 15
     out = simulate(np.array([0.5]), 0.6, CFG)
-    assert out.states[0] == 0
-    assert out.throughput[0] == pytest.approx(15.0)
+    assert out.sleep_steps == 1
+    assert out.r_bar == pytest.approx(15.0)
 
 
 def test_simulate_always_on_energy():
@@ -58,8 +61,10 @@ def test_simulate_energy_bounds_and_throughput_cap():
     for th in (0.0, 0.3, 0.9):
         out = simulate(u, th, CFG)
         assert CFG.e_off <= out.e_bar <= CFG.e_on
-        assert out.throughput.max() <= max(CFG.c_cap, CFG.alpha * CFG.c_cov)
-        assert set(np.unique(out.energy)) <= {CFG.e_on, CFG.e_off}
+        # per step, on one-step traces
+        steps = [simulate(u[i : i + 1], th, CFG) for i in range(u.size)]
+        assert max(step.r_bar for step in steps) <= max(CFG.c_cap, CFG.alpha * CFG.c_cov)
+        assert {step.e_bar for step in steps} <= {CFG.e_on, CFG.e_off}
 
 
 def test_simulate_objective_formula():
@@ -72,7 +77,7 @@ def test_simulate_objective_formula():
 def test_active_steps_monotone_in_threshold():
     rng = np.random.default_rng(2)
     u = rng.uniform(0, 1, 300)
-    actives = [simulate(u, th, CFG).states.sum() for th in np.linspace(0, 1, 21)]
+    actives = [u.size - simulate(u, th, CFG).sleep_steps for th in np.linspace(0, 1, 21)]
     assert all(a >= b for a, b in zip(actives, actives[1:]))
 
 
@@ -98,6 +103,21 @@ def test_sweep_threshold_argmax_matches_bruteforce():
     assert best_r == 0.0
 
 
+def test_sweep_threshold_keeps_no_per_step_arrays():
+    # four per-step arrays kept for each of 26 thresholds of a 100k-step trace
+    # would take 83 MB; with aggregates only, the sweep peaks at one
+    # simulation's temporaries
+    u = np.random.default_rng(6).uniform(0, 0.05, 100_000)
+    tracemalloc.start()
+    try:
+        outcomes, _ = sweep_threshold(u, default_threshold_grid(), CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(outcomes) == 26
+    assert peak < 16e6
+
+
 def test_sweep_requires_sorted_thresholds():
     with pytest.raises(ConfigError):
         sweep_threshold(np.array([0.5]), np.array([0.02, 0.01]), CFG)
@@ -107,7 +127,11 @@ def test_simulate_deterministic():
     u = np.random.default_rng(4).uniform(0, 1, 100)
     a = simulate(u, 0.3, CFG)
     b = simulate(u, 0.3, CFG)
-    assert np.array_equal(a.states, b.states)
+    # the per-step states, on one-step traces
+    def states():
+        return [simulate(u[i : i + 1], 0.3, CFG).sleep_steps for i in range(u.size)]
+
+    assert states() == states()
     assert a.objective == b.objective
 
 

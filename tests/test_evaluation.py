@@ -20,6 +20,7 @@ from intervalcast.errors import (
     DataError,
     DegenerateConfidenceError,
     RatioUndefinedError,
+    UnsupportedQueryError,
 )
 from intervalcast.evaluation import IntervalMetric
 from intervalcast.intervals import entries_inside
@@ -298,3 +299,12 @@ def test_rolling_eval_names_a_degenerate_origin(monkeypatch):
     with pytest.raises(DegenerateConfidenceError) as err:
         rolling_eval(params, policy, _two_channel_series(8 + 4 * 9), WindowConfig(8, 4), queries)
     assert "history 3 " in str(err.value)
+
+
+def test_rolling_eval_rejects_an_unknown_strategy():
+    # the baseline ignores the strategy, but an unknown one is still an error
+    policy, queries = _POLICIES["b"]
+    params = init("mlp", (8, 4, 2), 1, hidden=5, use_covariate=False)
+    with pytest.raises(UnsupportedQueryError, match="unknown strategy 'median'"):
+        rolling_eval(params, policy, _two_channel_series(8 + 4 * 9), WindowConfig(8, 4),
+                     queries, strategy="median")

@@ -8,7 +8,6 @@ from intervalcast import (
     DiscretePartition,
     Interval,
     PolicyConfig,
-    UniformSampler,
     draw_batch,
     intersecting,
 )
@@ -69,8 +68,8 @@ def test_uniform_sampler_deterministic():
 
 
 def test_uniform_sampler_rejects_bad_delta():
-    with pytest.raises(ConfigError):
-        UniformSampler(1.0)
+    with pytest.raises(ConfigError, match=r"delta must be in \[0, 1\), got 1.0"):
+        PolicyConfig("c", delta=1.0)
 
 
 def test_discrete_partition_layout():
@@ -226,13 +225,3 @@ def test_partition_validation():
     with pytest.raises(ConfigError):
         DiscretePartition(0)
 
-
-def test_partition_custom_cells_validated():
-    good = (Interval(0.0, 0.3), Interval(0.3, 1.0))
-    assert DiscretePartition(2, good).intervals == good
-    with pytest.raises(ConfigError):
-        DiscretePartition(3, good)  # declared size disagrees
-    with pytest.raises(ConfigError):
-        DiscretePartition(2, (Interval(0.0, 0.3), Interval(0.4, 1.0)))  # gap
-    with pytest.raises(ConfigError):
-        DiscretePartition(2, (Interval(0.1, 0.3), Interval(0.3, 1.0)))  # no 0 start

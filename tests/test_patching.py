@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +19,7 @@ from intervalcast import (
 )
 from intervalcast.errors import DegenerateConfidenceError, DimensionError, UnsupportedQueryError
 from intervalcast.models import forward_batch, forward_cells, init, project_histories
-from intervalcast.patching import (
-    PatchRequest,
-    forecast,
-    patch,
-)
+from intervalcast.patching import forecast, patch
 
 DIMS = (6, 3, 1)
 
@@ -34,12 +29,24 @@ def _params(seed=0):
 
 
 def _request(query, L=4, strategy="avg", seed=1):
+    """The arguments of one patch call after ``params``, by name."""
     rng = np.random.default_rng(seed)
-    return PatchRequest(rng.uniform(0, 1, (6, 1)), query, DiscretePartition(L), strategy)
+    return dict(
+        history=rng.uniform(0, 1, (6, 1)), query=query, partition=DiscretePartition(L),
+        strategy=strategy,
+    )
 
 
 def _max(request):
-    return replace(request, strategy="max")
+    return {**request, "strategy": "max"}
+
+
+def _cells(request):
+    return patching.intersecting(request["partition"], request["query"])
+
+
+def _cell_predictions(params, request):
+    return patching._cell_outputs(params, request["history"], _cells(request))[0]
 
 
 def _fake_outputs(regs, confs):
@@ -55,48 +62,50 @@ def _fake_outputs(regs, confs):
 def test_single_cell_returns_exact_output():
     params = _params()
     request = _request(Interval(0.25, 0.5))
-    pred, trace = patch(params, request)
-    assert trace.cells == [Interval(0.25, 0.5)]
-    direct = forward_batch(params, request.history[None], [Interval(0.25, 0.5)])[0][0]
+    pred = patch(params, **request)
+    assert _cells(request) == [Interval(0.25, 0.5)]
+    direct = forward_batch(params, request["history"][None], [Interval(0.25, 0.5)])[0][0]
     assert np.array_equal(pred, direct)
 
 
 def test_average_equal_confidences(monkeypatch):
     regs = np.stack([np.full((3, 1), 0.2), np.full((3, 1), 0.6)])
     monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, [0.4, 0.4]))
-    pred, _ = patch(_params(), _request(Interval(0.3, 0.6), L=4))
+    pred = patch(_params(), **_request(Interval(0.3, 0.6), L=4))
     assert np.allclose(pred, 0.4)
 
 
 def test_average_weighted_by_confidence(monkeypatch):
     regs = np.stack([np.full((3, 1), 1.0), np.full((3, 1), 0.0)])
     monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, [0.9, 0.1]))
-    pred, _ = patch(_params(), _request(Interval(0.3, 0.6), L=4))
+    pred = patch(_params(), **_request(Interval(0.3, 0.6), L=4))
     assert np.allclose(pred, 0.9)
 
 
 def test_maxconf_takes_argmax(monkeypatch):
     regs = np.stack([np.full((3, 1), 0.11), np.full((3, 1), 0.77)])
     monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, [0.2, 0.8]))
-    pred, _ = patch(_params(), _max(_request(Interval(0.3, 0.6), L=4)))
+    pred = patch(_params(), **_max(_request(Interval(0.3, 0.6), L=4)))
     assert np.array_equal(pred, regs[1])
 
 
 def test_maxconf_tie_breaks_low(monkeypatch):
     regs = np.stack([np.full((3, 1), 0.11), np.full((3, 1), 0.77)])
     monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, [0.5, 0.5]))
-    pred, trace = patch(_params(), _max(_request(Interval(0.3, 0.6), L=4)))
+    request = _max(_request(Interval(0.3, 0.6), L=4))
+    pred = patch(_params(), **request)
     assert np.array_equal(pred, regs[0])
-    assert trace.cells[0].lo < trace.cells[1].lo
+    low, high = _cells(request)
+    assert low.lo < high.lo
 
 
 def test_degenerate_confidences_raise(monkeypatch):
     regs = np.zeros((2, 3, 1))
     monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, [0.0, 1e-13]))
     with pytest.raises(DegenerateConfidenceError):
-        patch(_params(), _request(Interval(0.3, 0.6), L=4))
+        patch(_params(), **_request(Interval(0.3, 0.6), L=4))
     with pytest.raises(DegenerateConfidenceError):
-        patch(_params(), _max(_request(Interval(0.3, 0.6), L=4)))
+        patch(_params(), **_max(_request(Interval(0.3, 0.6), L=4)))
 
 
 def test_average_inside_envelope_random_models():
@@ -104,8 +113,8 @@ def test_average_inside_envelope_random_models():
     for seed in range(5):
         params = _params(seed)
         request = _request(Interval(0.1, 0.9), L=8, seed=seed)
-        pred, trace = patch(params, request)
-        regs = np.stack(trace.predictions)
+        pred = patch(params, **request)
+        regs = _cell_predictions(params, request)
         assert np.all(pred >= regs.min(axis=0))
         assert np.all(pred <= regs.max(axis=0))
 
@@ -113,22 +122,22 @@ def test_average_inside_envelope_random_models():
 def test_maxconf_bit_identical_to_one_cell():
     params = _params(4)
     request = _request(Interval(0.0, 1.0), L=8, strategy="max")
-    pred, trace = patch(params, request)
-    assert any(np.array_equal(pred, r) for r in trace.predictions)
+    pred = patch(params, **request)
+    assert any(np.array_equal(pred, r) for r in _cell_predictions(params, request))
 
 
 def test_strategies_invariant_to_cell_order(monkeypatch):
     regs = np.stack([np.full((3, 1), v) for v in (0.1, 0.5, 0.9)])
     confs = np.array([0.2, 0.7, 0.4])
     monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, confs))
-    avg1, _ = patch(_params(), _request(Interval(0.1, 0.7), L=4))
-    max1, _ = patch(_params(), _max(_request(Interval(0.1, 0.7), L=4)))
+    avg1 = patch(_params(), **_request(Interval(0.1, 0.7), L=4))
+    max1 = patch(_params(), **_max(_request(Interval(0.1, 0.7), L=4)))
     perm = [2, 0, 1]
     monkeypatch.setattr(
         patching, "_cell_outputs", _fake_outputs(regs[perm], confs[perm])
     )
-    avg2, _ = patch(_params(), _request(Interval(0.1, 0.7), L=4))
-    max2, _ = patch(_params(), _max(_request(Interval(0.1, 0.7), L=4)))
+    avg2 = patch(_params(), **_request(Interval(0.1, 0.7), L=4))
+    max2 = patch(_params(), **_max(_request(Interval(0.1, 0.7), L=4)))
     assert np.abs(avg1 - avg2).max() < 1e-12
     assert np.array_equal(max1, max2)
 
@@ -138,8 +147,6 @@ def test_confidence_reduction_invariant_to_entry_permutation():
     # entry permutation leaves both strategies unchanged
     params = _params(5)
     request = _request(Interval(0.3, 0.6), L=4)
-    cells = patching.intersecting(request.partition, request.query)
-    reg, conf = patching._cell_outputs(params, request.history, cells)
     rng = np.random.default_rng(0)
     def permuted(params_, history, cells_):
         reg_, prob = forward_cells(project_histories(params_, history[None]), cells_)
@@ -147,14 +154,14 @@ def test_confidence_reduction_invariant_to_entry_permutation():
         perm = rng.permutation(flat.shape[1])
         return reg_[0], flat[:, perm].mean(axis=1)
 
-    base_avg, _ = patch(params, request)
-    base_max, _ = patch(params, _max(request))
+    base_avg = patch(params, **request)
+    base_max = patch(params, **_max(request))
     import intervalcast.patching as mod
     original = mod._cell_outputs
     try:
         mod._cell_outputs = permuted
-        perm_avg, _ = patch(params, request)
-        perm_max, _ = patch(params, _max(request))
+        perm_avg = patch(params, **request)
+        perm_max = patch(params, **_max(request))
     finally:
         mod._cell_outputs = original
     assert np.abs(base_avg - perm_avg).max() < 1e-12
@@ -200,12 +207,13 @@ def test_forecast_dstar_patches_expected_cells():
     policy = PolicyConfig(
         "dstar", partition=DiscretePartition(8), nu=DecaySpec(math.inf), phi=0.5
     )
-    request = PatchRequest(np.zeros((6, 1)), Interval(0.75, 1.0), policy.partition)
-    _, trace = patch(params, request)
-    assert len(trace.cells) == 2
-    full = PatchRequest(np.zeros((6, 1)), Interval(0.0, 1.0), policy.partition)
-    _, trace_full = patch(params, full)
-    assert len(trace_full.cells) == 8
+    request = dict(history=np.zeros((6, 1)), query=Interval(0.75, 1.0),
+                   partition=policy.partition)
+    patch(params, **request)
+    assert len(_cells(request)) == 2
+    full = {**request, "query": Interval(0.0, 1.0)}
+    patch(params, **full)
+    assert len(_cells(full)) == 8
     out = forecast(params, policy, np.zeros((6, 1)), Interval(0.75, 1.0), "max")
     assert out.shape == (3, 1)
 
@@ -221,13 +229,13 @@ def test_trained_patching_contract_end_to_end():
     )
     params, _, _ = train(policy, "mlp", tr[:400], va[:100], 0, epochs=4, hidden=16)
     for s in te[:20]:
-        request = PatchRequest(s.history, Interval(0.75, 1.0), policy.partition)
-        pred, trace = patch(params, request)
-        regs = np.stack(trace.predictions)
-        assert len(trace.cells) == 2
+        request = dict(history=s.history, query=Interval(0.75, 1.0), partition=policy.partition)
+        pred = patch(params, **request)
+        regs = _cell_predictions(params, request)
+        assert len(_cells(request)) == 2
         assert np.all(pred >= regs.min(axis=0)) and np.all(pred <= regs.max(axis=0))
-        pred_max, trace_max = patch(params, _max(request))
-        assert any(np.array_equal(pred_max, r) for r in trace_max.predictions)
+        pred_max = patch(params, **_max(request))
+        assert any(np.array_equal(pred_max, r) for r in regs)
 
 
 def test_forecast_continuous_conditions_on_query():
@@ -262,17 +270,28 @@ def test_forecast_of_a_stack_equals_single_calls(kind, policy, query, strategy):
     assert np.allclose(got, singles, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("policy,query", _STACK_CASES, ids=lambda c: getattr(c, "kind", None))
+def test_forecast_rejects_an_unknown_strategy_for_every_policy(policy, query):
+    params = init("mlp", DIMS, 1, hidden=5, use_covariate=policy.uses_covariate)
+    with pytest.raises(UnsupportedQueryError, match="unknown strategy 'median'"):
+        forecast(params, policy, np.zeros((6, 1)), query, "median")
+
+
+def test_patch_rejects_an_unknown_strategy():
+    with pytest.raises(UnsupportedQueryError, match="unknown strategy 'median'"):
+        patch(_params(), **_request(Interval(0.3, 0.6), strategy="median"))
+
+
 def test_patch_of_a_stack_keeps_one_trace_row_per_history():
     params = _params(3)
     stack = np.random.default_rng(6).uniform(0, 1, (5, 6, 1))
-    pred, trace = patch(params, PatchRequest(stack, Interval(0.3, 0.6), DiscretePartition(4)))
+    pred = patch(params, stack, Interval(0.3, 0.6), DiscretePartition(4))
     assert pred.shape == (5, 3, 1)
-    assert trace.confidences.shape == (5, 2) and trace.predictions.shape == (5, 2, 3, 1)
     for b in range(5):
-        alone, _ = patch(params, PatchRequest(stack[b], Interval(0.3, 0.6), DiscretePartition(4)))
+        alone = patch(params, stack[b], Interval(0.3, 0.6), DiscretePartition(4))
         assert np.allclose(pred[b], alone, rtol=0.0, atol=1e-12)
 
 
 def test_patch_rejects_a_history_of_the_wrong_rank():
     with pytest.raises(DimensionError):
-        patch(_params(), PatchRequest(np.zeros(6), Interval(0.3, 0.6), DiscretePartition(4)))
+        patch(_params(), np.zeros(6), Interval(0.3, 0.6), DiscretePartition(4))

@@ -1,9 +1,12 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its commands parse."""
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+
+from intervalcast.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +25,22 @@ def test_readme_library_example_runs():
     assert namespace["preds"].shape == (len(namespace["test_s"]), 24, 1)
     assert np.allclose(namespace["preds"][0], namespace["pred"], rtol=0.0, atol=1e-12)
     assert namespace["report"].best_epoch >= 0
+
+
+def _cli_commands() -> list[list[str]]:
+    """Each ``intervalcast`` command of the "Command line" block, as argv tokens."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.DOTALL).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("intervalcast ")]
+
+
+def test_readme_commands_parse():
+    # parsed, not run: a flag the parser does not know exits with status 2
+    commands = _cli_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
