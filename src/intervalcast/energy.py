@@ -5,6 +5,10 @@ offloaded traffic is served by the coverage cell at degraded rate. The
 simulator books realized throughput and energy per step, keeps only their
 means and the sleep count, and scores a threshold by the trade-off
 objective (1 - lambda) * mean_throughput - lambda * mean_energy.
+
+A threshold sweep runs every threshold of its ascending grid in one pass
+over one running per-step state; each figure equals, bit for bit, what a
+separate :func:`simulate` call at that threshold returns.
 """
 
 from __future__ import annotations
@@ -71,34 +75,63 @@ def _check_utilization(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _check_thresholds(thresholds) -> np.ndarray:
+    """The grid as a float array: non-empty, every value in [0, 1], ascending."""
+    th = np.asarray(thresholds, dtype=np.float64).ravel()
+    if th.size == 0:
+        raise ConfigError("threshold grid is empty")
+    # written so that NaN, which fails every comparison, is rejected too
+    bad = th[~((th >= 0.0) & (th <= 1.0))]
+    if bad.size:
+        raise ConfigError(f"threshold must be in [0, 1], got {float(bad[0])}")
+    if np.any(np.diff(th) < 0):
+        raise ConfigError("thresholds must be sorted ascending")
+    return th
+
+
 def decide(u: np.ndarray, u_th: float) -> np.ndarray:
     """Threshold policy: active (1) whenever u(t) >= u_th, ties activate."""
     u = _check_utilization(u)
-    if not (0.0 <= u_th <= 1.0):
-        raise ConfigError(f"threshold must be in [0, 1], got {u_th}")
-    return (u >= u_th).astype(np.int64)
+    th = _check_thresholds(u_th)[0]
+    return (u >= th).astype(np.int64)
+
+
+def _simulate_grid(u: np.ndarray, th: np.ndarray, cfg: EnergySimConfig) -> list[SimOutcome]:
+    """One outcome per threshold of a checked ascending grid over a checked trace.
+
+    The per-step throughput and energy start all-on; at each threshold only
+    the steps with previous threshold <= u < threshold are overwritten with
+    their sleeping values. Every element then equals what one threshold's
+    ``np.where`` over the whole trace would give, so the means are bitwise
+    those of a separate simulation per threshold.
+    """
+    throughput = np.minimum(u * cfg.c_cap, cfg.c_cap)
+    energy = np.full(u.size, cfg.e_on, dtype=np.float64)
+    below = np.flatnonzero(u < th[-1])  # the steps that sleep at some threshold
+    u_below = u[below]
+    asleep_throughput = cfg.alpha * np.minimum(u_below * cfg.c_cap, cfg.c_cov)
+    outcomes, sleep_steps, previous = [], 0, 0.0
+    for t in th:
+        band = (u_below >= previous) & (u_below < t)
+        falling_asleep = below[band]
+        throughput[falling_asleep] = asleep_throughput[band]
+        energy[falling_asleep] = cfg.e_off
+        sleep_steps += falling_asleep.size
+        r_bar = float(throughput.mean())
+        e_bar = float(energy.mean())
+        objective = (1.0 - cfg.lam) * r_bar - cfg.lam * e_bar
+        outcomes.append(SimOutcome(float(t), r_bar, e_bar, objective, sleep_steps))
+        previous = t
+    return outcomes
 
 
 def simulate(u: np.ndarray, u_th: float, cfg: EnergySimConfig) -> SimOutcome:
     """Run the threshold policy over the trace and average throughput and energy.
 
-    The per-step states, load, throughput and energy are temporaries of
-    this call; only their means and the sleep count are returned.
+    The per-step load, throughput and energy are temporaries of this call;
+    only their means and the sleep count are returned.
     """
-    u = _check_utilization(u)
-    states = decide(u, u_th)
-    load = u * cfg.c_cap
-    throughput = np.where(
-        states == 1,
-        np.minimum(load, cfg.c_cap),
-        cfg.alpha * np.minimum(load, cfg.c_cov),
-    )
-    energy = np.where(states == 1, cfg.e_on, cfg.e_off).astype(np.float64)
-    r_bar = float(throughput.mean())
-    e_bar = float(energy.mean())
-    objective = (1.0 - cfg.lam) * r_bar - cfg.lam * e_bar
-    sleep_steps = int((states == 0).sum())
-    return SimOutcome(u_th, r_bar, e_bar, objective, sleep_steps)
+    return _simulate_grid(_check_utilization(u), _check_thresholds(u_th), cfg)[0]
 
 
 def default_threshold_grid() -> np.ndarray:
@@ -109,18 +142,15 @@ def default_threshold_grid() -> np.ndarray:
 def sweep_threshold(
     u: np.ndarray, thresholds: np.ndarray, cfg: EnergySimConfig
 ) -> tuple[list[SimOutcome], float]:
-    """One simulation per threshold plus the objective-maximizing threshold.
+    """Every threshold's outcome from one pass, plus the objective-maximizing threshold.
 
-    Ties on the objective resolve to the lowest threshold.
+    The trace and the ascending grid are checked once, and the outcomes
+    equal per-threshold :func:`simulate` calls bit for bit. Ties on the
+    objective resolve to the lowest threshold.
     """
-    th = np.asarray(thresholds, dtype=np.float64).ravel()
-    if th.size == 0:
-        raise ConfigError("threshold grid is empty")
-    if np.any(np.diff(th) < 0):
-        raise ConfigError("thresholds must be sorted ascending")
-    outcomes = [simulate(u, float(t), cfg) for t in th]
+    outcomes = _simulate_grid(_check_utilization(u), _check_thresholds(thresholds), cfg)
     best = int(np.argmax([o.objective for o in outcomes]))
-    return outcomes, float(th[best])
+    return outcomes, outcomes[best].threshold
 
 
 @dataclass(frozen=True)
@@ -147,10 +177,11 @@ def compare_decisions(
         raise DataError(
             f"trace lengths differ: truth {u_true.size}, forecast {u_forecast.size}"
         )
-    s_true = decide(u_true, u_th)
-    s_fc = decide(u_forecast, u_th)
-    sleep_err = abs(int((s_fc == 0).sum()) - int((s_true == 0).sum()))
-    mismatch = int((s_fc != s_true).sum())
-    energy_true = np.where(s_true == 1, cfg.e_on, cfg.e_off).mean()
-    energy_fc = np.where(s_fc == 1, cfg.e_on, cfg.e_off).mean()
+    th = _check_thresholds(u_th)[0]
+    on_true = u_true >= th
+    on_fc = u_forecast >= th
+    sleep_err = abs(int(np.count_nonzero(on_true)) - int(np.count_nonzero(on_fc)))
+    mismatch = int(np.count_nonzero(on_fc != on_true))
+    energy_true = np.where(on_true, cfg.e_on, cfg.e_off).mean()
+    energy_fc = np.where(on_fc, cfg.e_on, cfg.e_off).mean()
     return DecisionErrors(sleep_err, mismatch, float(abs(energy_fc - energy_true)))

@@ -12,6 +12,7 @@ from intervalcast import (
     sweep_threshold,
 )
 from intervalcast.errors import ConfigError, DataError
+from per_threshold_sim import per_threshold_compare, per_threshold_sweep
 
 CFG = EnergySimConfig()  # c_cap=100, c_cov=30, alpha=0.5, e_on=1266, e_off=320
 
@@ -105,8 +106,9 @@ def test_sweep_threshold_argmax_matches_bruteforce():
 
 def test_sweep_threshold_keeps_no_per_step_arrays():
     # four per-step arrays kept for each of 26 thresholds of a 100k-step trace
-    # would take 83 MB; with aggregates only, the sweep peaks at one
-    # simulation's temporaries
+    # would take 83 MB; with aggregates only, the sweep peaks at its fixed set
+    # of per-step arrays: the running throughput and energy, plus the index,
+    # utilization and sleeping throughput of the steps below the top threshold
     u = np.random.default_rng(6).uniform(0, 0.05, 100_000)
     tracemalloc.start()
     try:
@@ -116,6 +118,45 @@ def test_sweep_threshold_keeps_no_per_step_arrays():
         tracemalloc.stop()
     assert len(outcomes) == 26
     assert peak < 16e6
+
+
+def _reference_trace(seed: int, grid: np.ndarray) -> np.ndarray:
+    """A seeded trace around the grid that also holds every grid value, 0.0 and 1.0."""
+    rng = np.random.default_rng(seed)
+    top = max(float(grid[-1]), 0.05)
+    u = np.concatenate([rng.uniform(0.0, 1.25 * top, 4000), grid, [0.0, 1.0]])
+    return np.clip(rng.permutation(u), 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        default_threshold_grid(),
+        np.array([0.0, 0.01, 0.01, 0.015, 0.015, 0.015, 0.02]),
+        np.linspace(0.0, 1.0, 11),
+        np.array([0.0125]),
+    ],
+    ids=["default", "duplicates", "ends_at_one", "one_threshold"],
+)
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_sweep_and_simulate_equal_per_threshold_reference(grid, lam):
+    cfg = EnergySimConfig(lam=lam)
+    for seed in range(3):
+        u = _reference_trace(seed, grid)
+        want, want_best = per_threshold_sweep(u, grid, cfg)
+        got, got_best = sweep_threshold(u, grid, cfg)
+        assert got == want  # every field, bit for bit
+        assert got_best == want_best
+        assert [simulate(u, float(t), cfg) for t in grid] == want
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.01, 1.5])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_sweep_rejects_out_of_range_thresholds_anywhere(bad, position):
+    grid = [0.0, 0.01, 0.02, 0.03]
+    grid.insert(position, bad)
+    with pytest.raises(ConfigError, match=f"got {bad}$"):
+        sweep_threshold(np.full(5, 0.5), np.array(grid), CFG)
 
 
 def test_sweep_requires_sorted_thresholds():
@@ -164,6 +205,16 @@ def test_energy_error_scales_with_count_difference():
     errs = compare_decisions(truth, forecast, 0.5, CFG)
     assert errs.sleep_duration_error == 1
     assert errs.energy_error_wh == pytest.approx((1266.0 - 320.0) / 4)
+
+
+def test_compare_equals_per_threshold_reference():
+    rng = np.random.default_rng(7)
+    u_true = rng.uniform(0.0, 0.05, 3000)
+    u_fc = np.clip(u_true + rng.normal(0.0, 0.005, u_true.size), 0.0, 1.0)
+    for th in default_threshold_grid():
+        assert compare_decisions(u_true, u_fc, float(th), CFG) == per_threshold_compare(
+            u_true, u_fc, float(th), CFG
+        )
 
 
 def test_simulate_rejects_nan_utilization():
