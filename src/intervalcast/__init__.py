@@ -24,7 +24,6 @@ from .energy import (
     EnergySimConfig,
     SimOutcome,
     compare_decisions,
-    decide,
     default_threshold_grid,
     simulate,
     sweep_threshold,
@@ -69,7 +68,6 @@ from .models import (
     forward_batch,
     init,
 )
-from .numeric import GradCheckReport, check_gradient
 from .patching import (
     STRATEGY_AVERAGE,
     STRATEGY_MAXCONF,

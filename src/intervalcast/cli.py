@@ -92,11 +92,14 @@ def _parse_nu(text: str) -> DecaySpec:
         raise ConfigError(f"--nu expects a number or 'inf', got {text!r}") from None
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
+        values = [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
+    if not values:
+        raise ConfigError(f"{flag} names no values")
+    return values
 
 
 def _parse_split(text: str) -> SplitSpec:
@@ -118,7 +121,7 @@ def _parse_sweep(text: str) -> tuple[str, list]:
     param, values = text.split("=", 1)
     param = param.strip().lower()
     if param == "l":
-        return "L", _parse_int_list(values)
+        return "L", _parse_int_list(values, "--sweep L")
     if param == "nu":
         return "nu", [_parse_nu(v) for v in values.split(",")]
     if param == "delta":
@@ -240,21 +243,12 @@ def _policy_from_args(args) -> PolicyConfig:
     )
 
 
-def _train_once(args, policy, seed):
-    series = _load_series(args)
-    cfg = _window_config(args)
-    train_s, val_s, _ = _split_samples(series, cfg, _parse_split(args.split))
+def _train(args, policy, train_s, val_s, seed):
+    """``train`` with the model and loop settings that the flags give."""
     return train(
-        policy,
-        args.model,
-        train_s,
-        val_s,
-        seed,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        patience=args.patience,
-        hidden=args.hidden,
-        kernel=args.kernel,
+        policy, args.model, train_s, val_s, seed,
+        epochs=args.epochs, batch_size=args.batch, patience=args.patience,
+        hidden=args.hidden, kernel=args.kernel,
     )
 
 
@@ -278,7 +272,9 @@ def cmd_train(args) -> int:
     _warn_ignored_flags(args)
     out = _out_dir(args)
     started = time.time()
-    params, report, opt = _train_once(args, policy, args.seed)
+    series = _load_series(args)
+    train_s, val_s, _ = _split_samples(series, _window_config(args), _parse_split(args.split))
+    params, report, opt = _train(args, policy, train_s, val_s, args.seed)
     save_checkpoint(out / "checkpoint.json", params, opt, policy)
     write_report_csv(out / "report.csv", report)
     write_summary_csv(out / "summary.csv", report)
@@ -300,9 +296,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     out = _out_dir(args)
-    if not args.checkpoints:
-        raise ConfigError("--checkpoints must name at least one file")
-    checkpoints = [p for p in args.checkpoints.split(",") if p.strip()]
+    checkpoints = [p for p in (args.checkpoints or "").split(",") if p.strip()]
     if not checkpoints:
         raise ConfigError("--checkpoints must name at least one file")
     series = _load_series(args)
@@ -368,7 +362,7 @@ def cmd_sweep(args) -> int:
     if not args.sweep:
         raise ConfigError("--sweep is required (flag or config file)")
     param, values = _parse_sweep(args.sweep)
-    seeds = _parse_int_list(args.seeds)
+    seeds = _parse_int_list(args.seeds, "--seeds")
     eval_cells = DiscretePartition(args.eval_L).intervals
     lines = ["param,value,seed,strategy,mae_avg"]
     summary = ["param,value,strategy,mae_avg_mean,gamma"]
@@ -386,11 +380,7 @@ def cmd_sweep(args) -> int:
         per_strategy: dict[str, list[float]] = {s: [] for s in strategies}
         value_text = value.nu if isinstance(value, DecaySpec) else value
         for seed in seeds:
-            params, _, _ = train(
-                policy, args.model, train_s, val_s, seed,
-                epochs=args.epochs, batch_size=args.batch, patience=args.patience,
-                hidden=args.hidden, kernel=args.kernel,
-            )
+            params, _, _ = _train(args, policy, train_s, val_s, seed)
             for strategy in strategies:
                 metrics = rolling_eval(
                     params, policy, test_series, cfg, eval_cells, strategy=strategy

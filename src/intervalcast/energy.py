@@ -89,13 +89,6 @@ def _check_thresholds(thresholds) -> np.ndarray:
     return th
 
 
-def decide(u: np.ndarray, u_th: float) -> np.ndarray:
-    """Threshold policy: active (1) whenever u(t) >= u_th, ties activate."""
-    u = _check_utilization(u)
-    th = _check_thresholds(u_th)[0]
-    return (u >= th).astype(np.int64)
-
-
 def _simulate_grid(u: np.ndarray, th: np.ndarray, cfg: EnergySimConfig) -> list[SimOutcome]:
     """One outcome per threshold of a checked ascending grid over a checked trace.
 

@@ -62,7 +62,7 @@ def interval_mae(
     covered = int(mask.sum())
     if covered == 0:
         return IntervalMetric(interval, None, 0, t.size)
-    mae = float(np.abs(p - t)[mask].mean()) * scale
+    mae = float(np.where(mask, np.abs(p - t), 0.0).sum() / covered) * scale
     return IntervalMetric(interval, mae, covered, t.size)
 
 
@@ -137,30 +137,18 @@ def rolling_eval(
     """Non-overlapping rolling-origin evaluation over a normalized test series.
 
     Origins advance by the horizon tau so every target timestep in the
-    rolled span is forecast exactly once; per-interval absolute errors are
-    pooled across rolls before averaging. Each interval is forecast for
-    every origin in one :func:`patching.forecast` call on the stack of
-    their histories, in time order, so an error about history i of the
-    stack names the i-th origin.
+    rolled span is forecast exactly once; each interval's absolute errors
+    are pooled across rolls and averaged by :func:`interval_mae`. Each
+    interval is forecast for every origin in one :func:`patching.forecast`
+    call on the stack of their histories, in time order, so an error about
+    history i of the stack names the i-th origin.
     """
     rolls = make_windows(series, WindowConfig(cfg.w, cfg.tau, cfg.tau))
-    targets = rolls.target
-    bounds = np.array([(iv.lo, iv.hi) for iv in intervals]).reshape(-1, 2, 1, 1, 1)
-    inside = entries_inside(targets, bounds[:, 0], bounds[:, 1])  # (intervals, origins, tau, n)
-    errors = np.empty(inside.shape)
-    for j, iv in enumerate(intervals):
-        errors[j] = np.abs(forecast(params, policy, rolls.history, iv, strategy) - targets)
-    err_sums = np.where(inside, errors, 0.0).sum(axis=(1, 2, 3))
-    covered = inside.sum(axis=(1, 2, 3))
-    total = targets.size
     return [
-        IntervalMetric(
-            iv,
-            float(err_sums[j] / covered[j]) * scale if covered[j] else None,
-            int(covered[j]),
-            total,
+        interval_mae(
+            forecast(params, policy, rolls.history, iv, strategy), rolls.target, iv, scale
         )
-        for j, iv in enumerate(intervals)
+        for iv in intervals
     ]
 
 

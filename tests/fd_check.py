@@ -1,7 +1,8 @@
-"""Finite-difference gradient checker.
+"""Finite-difference gradient checker for the tests.
 
-Gradients of every model/loss pair are hand-derived and validated against
-central finite differences via :func:`check_gradient`.
+Gradients of every model/loss pair are hand-derived; the model tests and
+acceptance criterion 5 validate them against central finite differences
+via :func:`check_gradient`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from intervalcast.errors import DimensionError, NumericError
 
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_FD_TOL = 1e-5

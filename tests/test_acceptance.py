@@ -35,6 +35,7 @@ from intervalcast.intervals import target_weights
 from intervalcast.models import ModelParams, backward, forward_batch, init
 from intervalcast.patching import _cell_outputs, forecast, intersecting, patch
 from intervalcast.training import draw_batch
+from fd_check import check_gradient
 
 DATA_SEED = 15       # fixed trace seed; all four hypotheses appear in the
                      # held-out fresh blocks (coverage checked below)
@@ -257,7 +258,7 @@ def test_criterion_5_gradient_correctness():
                 if loss > 0:
                     nonzero_checks += 1
                 f = lambda th: backward(ModelParams(params.arch, th), H, Y, draw, phi)[0]
-                report = ic.check_gradient(f, params.theta, grad, step=1e-5, tol=1e-5)
+                report = check_gradient(f, params.theta, grad, step=1e-5, tol=1e-5)
                 if not report.passed:
                     failures.append((kind, name, checked, report.max_relative_error))
             assert checked == 10, f"{kind}/{name}: only {checked} smooth draws found"

@@ -203,6 +203,22 @@ def test_sweep_invalid_spec(tmp_path, capsys):
     assert "sweep" in capsys.readouterr().err.lower()
 
 
+def test_sweep_rejects_empty_seeds(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    # FAST_TRAIN's --seed abbreviates --seeds, so the empty list comes after it
+    code = main(["sweep", "--sweep", "nu=1"] + FAST_TRAIN + ["--seeds", "", "--out", str(out)])
+    assert code != 0
+    err = capsys.readouterr().err
+    assert err == "error: ConfigError: --seeds names no values\n"
+    assert not (out / "sweep_summary.csv").exists()
+
+
+def test_sweep_rejects_empty_partition_values(tmp_path, capsys):
+    code = main(["sweep", "--sweep", "L=", "--out", str(tmp_path)] + FAST_TRAIN)
+    assert code != 0
+    assert capsys.readouterr().err == "error: ConfigError: --sweep L names no values\n"
+
+
 def test_energy_threshold_study(tmp_path):
     trace = tmp_path / "u.csv"
     rng = np.random.default_rng(0)

@@ -6,7 +6,6 @@ import pytest
 from intervalcast import (
     EnergySimConfig,
     compare_decisions,
-    decide,
     default_threshold_grid,
     simulate,
     sweep_threshold,
@@ -17,24 +16,29 @@ from per_threshold_sim import per_threshold_compare, per_threshold_sweep
 CFG = EnergySimConfig()  # c_cap=100, c_cov=30, alpha=0.5, e_on=1266, e_off=320
 
 
+def _asleep(u, u_th):
+    """Per step, 1 when the threshold rule puts the capacity cell to sleep."""
+    return [simulate(np.array([x]), u_th, CFG).sleep_steps for x in u]
+
+
 def test_decide_threshold_zero_all_active():
-    assert decide(np.array([0.0, 0.4, 1.0]), 0.0).tolist() == [1, 1, 1]
+    assert _asleep([0.0, 0.4, 1.0], 0.0) == [0, 0, 0]
 
 
 def test_decide_tie_activates():
-    assert decide(np.array([1.0]), 1.0).tolist() == [1]
-    assert decide(np.array([0.02]), 0.02).tolist() == [1]
+    assert _asleep([1.0], 1.0) == [0]
+    assert _asleep([0.02], 0.02) == [0]
 
 
 def test_decide_basic():
-    assert decide(np.array([0.01, 0.03]), 0.02).tolist() == [0, 1]
+    assert _asleep([0.01, 0.03], 0.02) == [1, 0]
 
 
 def test_decide_validates_ranges():
     with pytest.raises(DataError):
-        decide(np.array([1.2]), 0.5)
+        simulate(np.array([1.2]), 0.5, CFG)
     with pytest.raises(ConfigError):
-        decide(np.array([0.5]), 1.5)
+        simulate(np.array([0.5]), 1.5, CFG)
 
 
 def test_simulate_load_formula():

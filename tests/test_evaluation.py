@@ -26,6 +26,7 @@ from intervalcast.evaluation import IntervalMetric
 from intervalcast.intervals import entries_inside
 from intervalcast.models import init
 from per_origin_eval import per_origin_rolling_eval
+from stacked_eval import stacked_rolling_eval
 
 
 def test_interval_mae_perfect():
@@ -280,6 +281,22 @@ def test_rolling_eval_matches_per_origin_reference(kind, name, strategy):
         assert (g.mae is None) == (r.mae is None)
         if r.mae is not None:
             assert g.mae == pytest.approx(r.mae, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "linear"])
+@pytest.mark.parametrize("name", ["b", "dstar"])
+@pytest.mark.parametrize("strategy", ["avg", "max"])
+def test_rolling_eval_equals_stacked_kernel_bitwise(kind, name, strategy):
+    # values stay below 0.6, so the top cell [0.75, 1] covers no entry
+    policy, queries = _POLICIES[name]
+    params = init(kind, (8, 4, 2), 1, hidden=5, kernel=3, use_covariate=policy.uses_covariate)
+    rng = np.random.default_rng(6)
+    series = TimeSeries(rng.uniform(0, 0.6, (8 + 4 * 60, 2)), ("u", "v"), 1.0)
+    cfg = WindowConfig(8, 4)
+    got = rolling_eval(params, policy, series, cfg, queries, strategy=strategy, scale=2.5)
+    ref = stacked_rolling_eval(params, policy, series, cfg, queries, strategy=strategy, scale=2.5)
+    assert got == ref  # every field of every IntervalMetric, floats by ==
+    assert got[3].interval == Interval(0.75, 1.0) and got[3].mae is None
 
 
 def test_rolling_eval_names_a_degenerate_origin(monkeypatch):

@@ -10,7 +10,6 @@ from intervalcast import (
     Interval,
     PolicyConfig,
     Windows,
-    check_gradient,
     draw_batch,
     init,
 )
@@ -27,6 +26,7 @@ from intervalcast.models import (
     project_histories,
 )
 from concat_forward import concat_forward
+from fd_check import check_gradient
 
 DIMS = (6, 3, 2)  # w, tau, n
 

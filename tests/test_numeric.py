@@ -7,7 +7,6 @@ from intervalcast import (
     PolicyConfig,
     SplitSpec,
     WindowConfig,
-    check_gradient,
     chrono_split,
     generate_synthds,
     make_windows,
@@ -15,6 +14,7 @@ from intervalcast import (
 from intervalcast.errors import DimensionError, NumericError
 from intervalcast.models import ModelParams, backward, init
 from intervalcast.training import draw_batch
+from fd_check import check_gradient
 
 
 def test_check_gradient_quadratic():
