@@ -43,9 +43,7 @@ from .errors import (
     UnsupportedQueryError,
 )
 from .evaluation import (
-    ComparisonRow,
     IntervalMetric,
-    improvement_table,
     interval_mae,
     rolling_eval,
     strategy_ratio,

@@ -6,8 +6,9 @@ one seed), ``eval`` (Table-style per-interval comparison of checkpoints),
 threshold study and forecast-vs-truth decision comparison).
 
 Flag precedence: command line > config file (simple KEY=VALUE lines, each
-KEY a flag name such as ``L`` or ``data-seed``) > defaults. The default
-output directory comes from INTERVALCAST_OUT when set.
+KEY a flag name such as ``L`` or ``data-seed``) > defaults. Flags, like
+config keys, must be spelled in full: no prefix of a flag is accepted. The
+default output directory comes from INTERVALCAST_OUT when set.
 All result files are plain CSV; timestamps appear only in ``train.log`` so
 repeated runs with identical flags are byte-identical.
 """
@@ -42,13 +43,7 @@ from .energy import (
     sweep_threshold,
 )
 from .errors import ConfigError, IntervalcastError
-from .evaluation import (
-    IntervalMetric,
-    improvement_table,
-    rolling_eval,
-    strategy_ratio,
-    write_table_csv,
-)
+from .evaluation import rolling_eval, strategy_ratio, write_table_csv
 from .intervals import DecaySpec, DiscretePartition, Interval
 from .patching import STRATEGIES, STRATEGY_AVERAGE, STRATEGY_MAXCONF
 from .training import (
@@ -183,8 +178,8 @@ def _load_series(args) -> TimeSeries:
     return series
 
 
-def _window_config(args, w=None, tau=None) -> WindowConfig:
-    return WindowConfig(w or args.w, tau or args.tau, args.stride)
+def _window_config(args) -> WindowConfig:
+    return WindowConfig(args.w, args.tau, args.stride)
 
 
 def _split_samples(series, cfg, split):
@@ -301,9 +296,9 @@ def cmd_eval(args) -> int:
         raise ConfigError("--checkpoints must name at least one file")
     series = _load_series(args)
     partition = DiscretePartition(args.L)
-    scale = None
+    scale = args.domain_max if args.native else 1.0
     per_run_lines = ["label,checkpoint,interval_lo,interval_hi,mae,covered,total"]
-    by_policy: dict[str, list] = {}
+    runs_by_policy: dict[str, list] = {}
     cfg = None
     for path in checkpoints:
         params, _, policy = load_checkpoint(path)
@@ -311,7 +306,6 @@ def cmd_eval(args) -> int:
             cfg = WindowConfig(params.arch.w, params.arch.tau, args.stride)
             _, _, test_s = _split_samples(series, cfg, _parse_split(args.split))
             test_series = _test_series(series, cfg, test_s)
-            scale = args.domain_max if args.native else 1.0
         elif (params.arch.w, params.arch.tau) != (cfg.w, cfg.tau):
             raise ConfigError(
                 f"{path}: window {params.arch.w}/{params.arch.tau} differs from "
@@ -329,30 +323,9 @@ def cmd_eval(args) -> int:
                 f"{label},{path},{m.interval.lo!r},{m.interval.hi!r},"
                 f"{'' if m.mae is None else repr(m.mae)},{m.covered_entries},{m.total_entries}"
             )
-        by_policy.setdefault(label, []).append(metrics)
+        runs_by_policy.setdefault(label, []).append([m.mae for m in metrics])
     (out / "eval_runs.csv").write_text("\n".join(per_run_lines) + "\n", encoding="utf-8")
-
-    averaged = {}
-    for label, runs in by_policy.items():
-        merged = []
-        for i, iv in enumerate(partition.intervals):
-            maes = [r[i].mae for r in runs if r[i].mae is not None]
-            merged.append(
-                IntervalMetric(
-                    iv,
-                    float(np.mean(maes)) if maes else None,
-                    runs[0][i].covered_entries,
-                    runs[0][i].total_entries,
-                )
-            )
-        averaged[label] = merged
-    baseline = next((lbl for lbl in averaged if lbl == "B"), None)
-    if baseline is None:
-        raise ConfigError(
-            "the comparison table needs a baseline checkpoint (policy b)"
-        )
-    rows = improvement_table(averaged, baseline=baseline)
-    write_table_csv(out / "table.csv", rows)
+    write_table_csv(out / "table.csv", partition.intervals, runs_by_policy)
     print(f"wrote {out / 'table.csv'} and {out / 'eval_runs.csv'}")
     return 0
 
@@ -481,11 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intervalcast",
         description="Interval-conditioned forecasting experiments",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write the synthetic trace as CSV")
+    p = sub.add_parser("generate", help="write the synthetic trace as CSV", allow_abbrev=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-sd", type=float, default=0.05)
     p.add_argument("--name", default="synthds.csv", help="output file name")
@@ -493,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", help="train one policy with one seed")
+    p = sub.add_parser("train", help="train one policy with one seed", allow_abbrev=False)
     p.add_argument("--policy", choices=POLICY_KINDS, default=None)
     p.add_argument("--seed", type=int, default=0)
     _add_data_flags(p)
@@ -503,7 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="per-interval comparison table for checkpoints")
+    p = sub.add_parser(
+        "eval", help="per-interval comparison table for checkpoints", allow_abbrev=False
+    )
     p.add_argument("--checkpoints", default=None, help="comma-separated checkpoint paths")
     p.add_argument("--L", type=int, default=4, help="evaluation partition size")
     p.add_argument("--strategy", choices=STRATEGIES, default=STRATEGY_AVERAGE)
@@ -513,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="grid sweep over L, nu, or delta")
+    p = sub.add_parser("sweep", help="grid sweep over L, nu, or delta", allow_abbrev=False)
     p.add_argument("--sweep", default=None,
                    help="'L=4,8,16,32', 'nu=0,1,2,5,inf', or 'delta=0:0.4:9'")
     p.add_argument("--seeds", default="0", help="comma-separated training seeds")
@@ -525,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("energy", help="threshold study / decision comparison")
+    p = sub.add_parser("energy", help="threshold study / decision comparison", allow_abbrev=False)
     p.add_argument("--trace", default=None, help="utilization CSV for a threshold sweep")
     p.add_argument("--truth", default=None, help="true utilization CSV")
     p.add_argument("--forecast", default=None, help="forecast utilization CSV")

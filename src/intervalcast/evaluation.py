@@ -1,10 +1,12 @@
-"""Per-interval masked MAE, cross-policy comparison tables, rolling evaluation.
+"""Per-interval masked MAE, rolling evaluation, the cross-policy comparison table.
 
 Masking is on the target value: an entry contributes to an interval's MAE
 only when the true value lies in that interval, by the one membership rule
 of :func:`intervals.entries_inside`. Within a partition each entry belongs
 to exactly one cell, so entry-weighted recombination of per-cell MAEs
-reproduces the full-domain MAE exactly.
+reproduces the full-domain MAE exactly. :func:`write_table_csv` is the one
+place where per-run MAEs reduce to the table: a cell averages a policy's
+runs on one interval, and the averaged row averages its cells.
 """
 
 from __future__ import annotations
@@ -33,16 +35,6 @@ class IntervalMetric:
     total_entries: int
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One table row: per-policy MAE for an interval (None = averaged row)."""
-
-    interval: Interval | None
-    maes: dict[str, float | None]
-    best_policy: str | None
-    improvement_pct: float | None
-
-
 def interval_mae(
     preds: np.ndarray,
     targets: np.ndarray,
@@ -64,53 +56,6 @@ def interval_mae(
         return IntervalMetric(interval, None, 0, t.size)
     mae = float(np.where(mask, np.abs(p - t), 0.0).sum() / covered) * scale
     return IntervalMetric(interval, mae, covered, t.size)
-
-
-def improvement_table(
-    metrics_by_policy: dict[str, Sequence[IntervalMetric]],
-    baseline: str = "B",
-) -> list[ComparisonRow]:
-    """Per-interval rows plus an averaged row, with improvement vs the baseline.
-
-    Improvement compares the best non-baseline policy to the baseline and is
-    clamped at 0 when the baseline wins.
-    """
-    if baseline not in metrics_by_policy:
-        raise ConfigError(f"baseline policy {baseline!r} missing from the metrics")
-    labels = list(metrics_by_policy)
-    reference = [m.interval for m in metrics_by_policy[baseline]]
-    for label, metrics in metrics_by_policy.items():
-        if [m.interval for m in metrics] != reference:
-            raise ConfigError(
-                f"policy {label!r} was evaluated on different intervals than {baseline!r}"
-            )
-
-    rows = []
-    for i, iv in enumerate(reference):
-        maes = {label: metrics_by_policy[label][i].mae for label in labels}
-        rows.append(_comparison_row(iv, maes, baseline))
-    averages = {
-        label: _mean_or_none([m.mae for m in metrics_by_policy[label]])
-        for label in labels
-    }
-    rows.append(_comparison_row(None, averages, baseline))
-    return rows
-
-
-def _mean_or_none(values: list[float | None]) -> float | None:
-    present = [v for v in values if v is not None]
-    return float(np.mean(present)) if present else None
-
-
-def _comparison_row(interval, maes, baseline) -> ComparisonRow:
-    present = {k: v for k, v in maes.items() if v is not None}
-    best = min(present, key=present.get) if present else None
-    improvement = None
-    base = maes.get(baseline)
-    rivals = [v for k, v in present.items() if k != baseline]
-    if base is not None and base > 0 and rivals:
-        improvement = max(0.0, (base - min(rivals)) / base) * 100.0
-    return ComparisonRow(interval, maes, best, improvement)
 
 
 def strategy_ratio(mae_inf: float, mae_one: float) -> float:
@@ -152,21 +97,52 @@ def rolling_eval(
     ]
 
 
-def write_table_csv(path: str | Path, rows: list[ComparisonRow]) -> None:
-    """Comma-separated table: one row per interval plus the averaged row."""
-    if not rows:
-        raise ConfigError("no rows to write")
-    labels = list(rows[0].maes)
-    lines = ["interval," + ",".join(labels) + ",best_policy,improvement_pct"]
-    for row in rows:
-        name = "average" if row.interval is None else (
-            f"{row.interval.lo:g}:{row.interval.hi:g}"
-        )
-        cells = [name]
-        for label in labels:
-            v = row.maes[label]
-            cells.append("" if v is None else repr(v))
-        cells.append(row.best_policy or "")
-        cells.append("" if row.improvement_pct is None else repr(row.improvement_pct))
-        lines.append(",".join(cells))
+def write_table_csv(
+    path: str | Path,
+    intervals: Sequence[Interval],
+    runs_by_policy: dict[str, list[list[float | None]]],
+    baseline: str = "B",
+) -> None:
+    """Comma-separated comparison table: one row per interval plus an averaged row.
+
+    ``runs_by_policy`` maps each policy label to its runs (checkpoints or
+    seeds), each a list of per-interval MAEs with None where the interval
+    covered nothing. A cell is the mean of the label's present MAEs on that
+    interval, and the averaged row is the mean of each label's present cells.
+    ``best_policy`` has the lowest cell; ``improvement_pct`` compares the best
+    non-baseline label to the baseline and is clamped at 0 when the baseline
+    wins.
+    """
+    if baseline not in runs_by_policy:
+        raise ConfigError(f"the comparison table needs runs of the baseline policy {baseline!r}")
+    columns = {}
+    for label, runs in runs_by_policy.items():
+        if not runs:
+            raise ConfigError(f"policy {label!r} has no runs")
+        if any(len(run) != len(intervals) for run in runs):
+            raise ConfigError(f"a run of policy {label!r} does not have one MAE per interval")
+        cells = [_mean_or_none(maes) for maes in zip(*runs)]
+        columns[label] = cells + [_mean_or_none(cells)]
+    names = [f"{iv.lo:g}:{iv.hi:g}" for iv in intervals] + ["average"]
+    lines = ["interval," + ",".join(columns) + ",best_policy,improvement_pct"]
+    for i, name in enumerate(names):
+        maes = {label: column[i] for label, column in columns.items()}
+        present = {k: v for k, v in maes.items() if v is not None}
+        best = min(present, key=present.get) if present else ""
+        improvement = None
+        base = maes[baseline]
+        rivals = [v for k, v in present.items() if k != baseline]
+        if base is not None and base > 0 and rivals:
+            improvement = max(0.0, (base - min(rivals)) / base) * 100.0
+        row = [name, *(_csv_cell(v) for v in maes.values()), best, _csv_cell(improvement)]
+        lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _mean_or_none(values: Sequence[float | None]) -> float | None:
+    present = [v for v in values if v is not None]
+    return float(np.mean(present)) if present else None
+
+
+def _csv_cell(value: float | None) -> str:
+    return "" if value is None else repr(value)

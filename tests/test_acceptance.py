@@ -8,7 +8,8 @@ Criterion 2(a) is expected to fail: a mean-absolute-error learner converges
 to the conditional *median* of the noise-free trace's four-atom hypothesis
 mixture (it parks on the empirical-median hypothesis), which is 0.125 away
 from the mean hypothesis curve the criterion asks for, outside the 0.08
-tolerance. See the decisions ledger for the full analysis and measurements.
+tolerance. See ``ROADMAP.md``, section "Standing: acceptance criterion 2(a)
+is red", for the full analysis and measurements.
 """
 
 import functools
@@ -150,8 +151,8 @@ def test_criterion_2_policy_separation():
     assert ok_b, f"D4 must beat B by >= 40% on every interval: {improvements}"
     assert ok_a, (
         "known limitation: an MAE learner predicts the empirical-median "
-        "hypothesis on the noise-free trace, not the mean curve; see the "
-        "decisions ledger"
+        "hypothesis on the noise-free trace, not the mean curve; see ROADMAP.md, "
+        "section 'Standing: acceptance criterion 2(a) is red'"
     )
 
 

@@ -6,10 +6,9 @@ import pytest
 
 from intervalcast.cli import main
 
-FAST_TRAIN = [
-    "--w", "12", "--tau", "6", "--epochs", "3", "--hidden", "6", "--seed", "0",
-    "--noise-sd", "0",
-]
+# sweep takes --seeds where train takes --seed, so each sweep test names its seeds
+FAST_SWEEP = ["--w", "12", "--tau", "6", "--epochs", "3", "--hidden", "6", "--noise-sd", "0"]
+FAST_TRAIN = FAST_SWEEP + ["--seed", "0"]
 
 
 def run(args, capsys=None):
@@ -139,6 +138,45 @@ def test_eval_malformed_checkpoint_names_file(tmp_path, capsys, damage):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_eval_table_cell_is_mean_over_seeds(tmp_path):
+    # two checkpoints of one label: each table cell averages that label's
+    # eval_runs.csv MAEs on the interval, and the averaged row its cells
+    b_dir, eval_dir = tmp_path / "b", tmp_path / "eval"
+    assert main(["train", "--policy", "b", "--out", str(b_dir)] + FAST_TRAIN) == 0
+    checkpoints = [f"{b_dir}/checkpoint.json"]
+    for seed in ("0", "1"):
+        d_dir = tmp_path / f"d{seed}"
+        assert main(
+            ["train", "--policy", "d", "--L", "4", "--seed", seed, "--out", str(d_dir)]
+            + FAST_SWEEP
+        ) == 0
+        checkpoints.append(f"{d_dir}/checkpoint.json")
+    assert main([
+        "eval", "--checkpoints", ",".join(checkpoints),
+        "--L", "4", "--noise-sd", "0", "--out", str(eval_dir),
+    ]) == 0
+    runs: dict[tuple[str, str], list[float]] = {}
+    for row in (eval_dir / "eval_runs.csv").read_text().splitlines()[1:]:
+        label, _, lo, hi, mae = row.split(",")[:5]
+        interval = f"{float(lo):g}:{float(hi):g}"
+        runs.setdefault((label, interval), []).extend([float(mae)] if mae else [])
+    assert len(runs[("D4", "0:0.25")]) == 2
+    assert any(len(set(maes)) == 2 for (label, _), maes in runs.items() if label == "D4")
+    table = (eval_dir / "table.csv").read_text().splitlines()
+    header, *rows = [line.split(",") for line in table]
+    assert header == ["interval", "B", "D4", "best_policy", "improvement_pct"]
+    for label, col in (("B", 1), ("D4", 2)):
+        cells = []
+        for row in rows[:-1]:
+            maes = runs[(label, row[0])]
+            cell = float(np.mean(maes)) if maes else None
+            assert row[col] == ("" if cell is None else repr(cell)), (label, row)
+            cells.append(cell)
+        present = [c for c in cells if c is not None]
+        assert rows[-1][0] == "average"
+        assert float(rows[-1][col]) == float(np.mean(present))
+
+
 def test_eval_requires_baseline(tmp_path, capsys):
     d_dir = tmp_path / "d"
     assert main(["train", "--policy", "d", "--L", "4", "--out", str(d_dir)] + FAST_TRAIN) == 0
@@ -147,7 +185,10 @@ def test_eval_requires_baseline(tmp_path, capsys):
         "--noise-sd", "0", "--out", str(tmp_path / "eval"),
     ])
     assert code != 0
-    assert "baseline" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == (
+        "error: ConfigError: the comparison table needs runs of the baseline policy 'B'\n"
+    )
 
 
 def test_sweep_delta_axis(tmp_path):
@@ -155,7 +196,7 @@ def test_sweep_delta_axis(tmp_path):
     code = main([
         "sweep", "--sweep", "delta=0:0.4:3", "--seeds", "0",
         "--out", str(out),
-    ] + FAST_TRAIN)
+    ] + FAST_SWEEP)
     assert code == 0
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "param,value,seed,strategy,mae_avg"
@@ -169,7 +210,7 @@ def test_sweep_delta_values_read_as_typed(tmp_path):
     out = tmp_path / "sweep"
     code = main([
         "sweep", "--sweep", "delta=0.1:0.5:3", "--seeds", "0", "--out", str(out),
-    ] + FAST_TRAIN)
+    ] + FAST_SWEEP)
     assert code == 0
     for name in ("sweep.csv", "sweep_summary.csv"):
         rows = (out / name).read_text().strip().splitlines()[1:]
@@ -181,7 +222,7 @@ def test_sweep_warns_once_per_ignored_flag(tmp_path, capsys):
     code = main([
         "sweep", "--sweep", "delta=0:0.4:3", "--L", "8", "--seeds", "0",
         "--out", str(tmp_path),
-    ] + FAST_TRAIN)
+    ] + FAST_SWEEP)
     assert code == 0
     warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
     assert warnings == ["warning: --L is ignored by the c policy"]
@@ -191,22 +232,23 @@ def test_sweep_partition_axis_takes_nu_flag(tmp_path):
     out = tmp_path / "sweep"
     code = main([
         "sweep", "--sweep", "L=2", "--nu", "0", "--seeds", "0", "--out", str(out),
-    ] + FAST_TRAIN)
+    ] + FAST_SWEEP)
     assert code == 0
     rows = [line.split(",")[:4] for line in (out / "sweep.csv").read_text().splitlines()[1:]]
     assert rows == [["L", "2", "0", "avg"], ["L", "2", "0", "max"]]  # dstar: both strategies
 
 
 def test_sweep_invalid_spec(tmp_path, capsys):
-    code = main(["sweep", "--sweep", "gamma=1,2", "--out", str(tmp_path)] + FAST_TRAIN)
+    code = main(
+        ["sweep", "--sweep", "gamma=1,2", "--seeds", "0", "--out", str(tmp_path)] + FAST_SWEEP
+    )
     assert code != 0
     assert "sweep" in capsys.readouterr().err.lower()
 
 
 def test_sweep_rejects_empty_seeds(tmp_path, capsys):
     out = tmp_path / "sweep"
-    # FAST_TRAIN's --seed abbreviates --seeds, so the empty list comes after it
-    code = main(["sweep", "--sweep", "nu=1"] + FAST_TRAIN + ["--seeds", "", "--out", str(out)])
+    code = main(["sweep", "--sweep", "nu=1", "--seeds", "", "--out", str(out)] + FAST_SWEEP)
     assert code != 0
     err = capsys.readouterr().err
     assert err == "error: ConfigError: --seeds names no values\n"
@@ -214,9 +256,20 @@ def test_sweep_rejects_empty_seeds(tmp_path, capsys):
 
 
 def test_sweep_rejects_empty_partition_values(tmp_path, capsys):
-    code = main(["sweep", "--sweep", "L=", "--out", str(tmp_path)] + FAST_TRAIN)
+    code = main(["sweep", "--sweep", "L=", "--seeds", "0", "--out", str(tmp_path)] + FAST_SWEEP)
     assert code != 0
     assert capsys.readouterr().err == "error: ConfigError: --sweep L names no values\n"
+
+
+def test_flag_prefixes_are_rejected(tmp_path):
+    # a prefix of a flag is an unknown flag, as a prefix of a config key is
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--sweep", "nu=1", "--seed", "0", "--out", str(tmp_path)] + FAST_SWEEP)
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--policy", "b", "--epoch", "3", "--out", str(tmp_path)] + FAST_TRAIN)
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_energy_threshold_study(tmp_path):

@@ -9,7 +9,6 @@ from intervalcast import (
     PolicyConfig,
     TimeSeries,
     WindowConfig,
-    improvement_table,
     interval_mae,
     rolling_eval,
     strategy_ratio,
@@ -22,7 +21,6 @@ from intervalcast.errors import (
     RatioUndefinedError,
     UnsupportedQueryError,
 )
-from intervalcast.evaluation import IntervalMetric
 from intervalcast.intervals import entries_inside
 from intervalcast.models import init
 from per_origin_eval import per_origin_rolling_eval
@@ -92,86 +90,85 @@ def test_mask_partition_identity():
 # ---------------------------------------------------------------- tables
 
 
-def _metric(iv, mae):
-    return IntervalMetric(iv, mae, 10, 20)
+def _table(tmp_path, runs_by_policy):
+    """Write the comparison table over two cells; return its header and rows by name."""
+    path = tmp_path / "table.csv"
+    write_table_csv(path, DiscretePartition(2).intervals, runs_by_policy)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    return header, {row[0]: dict(zip(header[1:], row[1:])) for row in rows}
 
 
-def test_improvement_basic():
-    cells = DiscretePartition(2).intervals
-    rows = improvement_table(
-        {
-            "B": [_metric(cells[0], 10.0), _metric(cells[1], 1.0)],
-            "D2": [_metric(cells[0], 5.0), _metric(cells[1], 3.0)],
-        }
-    )
-    assert rows[0].improvement_pct == pytest.approx(50.0)
-    assert rows[0].best_policy == "D2"
-    assert rows[1].improvement_pct == 0.0  # baseline wins, clamped
-    assert rows[1].best_policy == "B"
+def test_improvement_basic(tmp_path):
+    _, rows = _table(tmp_path, {"B": [[10.0, 1.0]], "D2": [[5.0, 3.0]]})
+    assert float(rows["0:0.5"]["improvement_pct"]) == pytest.approx(50.0)
+    assert rows["0:0.5"]["best_policy"] == "D2"
+    assert rows["0.5:1"]["improvement_pct"] == "0.0"  # baseline wins, clamped
+    assert rows["0.5:1"]["best_policy"] == "B"
 
 
-def test_improvement_averaged_row():
-    cells = DiscretePartition(2).intervals
-    rows = improvement_table(
-        {
-            "B": [_metric(cells[0], 1.0), _metric(cells[1], 3.0)],
-            "D2": [_metric(cells[0], 1.0), _metric(cells[1], 1.0)],
-        }
-    )
-    avg = rows[-1]
-    assert avg.interval is None
-    assert avg.maes["B"] == pytest.approx(2.0)
-    assert avg.maes["D2"] == pytest.approx(1.0)
-    assert avg.improvement_pct == pytest.approx(50.0)
+def test_improvement_averaged_row(tmp_path):
+    _, rows = _table(tmp_path, {"B": [[1.0, 3.0]], "D2": [[1.0, 1.0]]})
+    avg = rows["average"]
+    assert float(avg["B"]) == pytest.approx(2.0)
+    assert float(avg["D2"]) == pytest.approx(1.0)
+    assert float(avg["improvement_pct"]) == pytest.approx(50.0)
 
 
-def test_improvement_invariant_to_common_rescale():
-    cells = DiscretePartition(2).intervals
-    base = {
-        "B": [_metric(cells[0], 10.0), _metric(cells[1], 4.0)],
-        "C": [_metric(cells[0], 6.0), _metric(cells[1], 5.0)],
-    }
-    scaled = {
-        k: [_metric(m.interval, 7.3 * m.mae) for m in v] for k, v in base.items()
-    }
-    r1 = improvement_table(base)
-    r2 = improvement_table(scaled)
-    for a, b in zip(r1, r2):
-        assert a.improvement_pct == pytest.approx(b.improvement_pct)
-
-
-def test_improvement_requires_matching_intervals():
-    c2 = DiscretePartition(2).intervals
-    c4 = DiscretePartition(4).intervals
-    with pytest.raises(ConfigError):
-        improvement_table(
-            {
-                "B": [_metric(c2[0], 1.0), _metric(c2[1], 1.0)],
-                "D": [_metric(c4[0], 1.0), _metric(c4[1], 1.0)],
-            }
+def test_improvement_invariant_to_common_rescale(tmp_path):
+    base = {"B": [[10.0, 4.0]], "C": [[6.0, 5.0]]}
+    scaled = {k: [[7.3 * mae for mae in run] for run in v] for k, v in base.items()}
+    _, r1 = _table(tmp_path, base)
+    _, r2 = _table(tmp_path, scaled)
+    assert r1.keys() == r2.keys()
+    for name in r1:
+        assert float(r1[name]["improvement_pct"]) == pytest.approx(
+            float(r2[name]["improvement_pct"])
         )
 
 
-def test_improvement_requires_baseline():
-    cells = DiscretePartition(2).intervals
-    with pytest.raises(ConfigError):
-        improvement_table({"D2": [_metric(cells[0], 1.0), _metric(cells[1], 1.0)]})
+def test_improvement_requires_matching_intervals(tmp_path):
+    # every run carries one MAE per interval of the table
+    with pytest.raises(ConfigError, match="'D'"):
+        _table(tmp_path, {"B": [[1.0, 1.0]], "D": [[1.0, 1.0, 1.0, 1.0]]})
+    with pytest.raises(ConfigError, match="'D'"):
+        _table(tmp_path, {"B": [[1.0, 1.0]], "D": [[1.0, 1.0], [1.0]]})
+
+
+def test_improvement_requires_baseline(tmp_path):
+    with pytest.raises(ConfigError, match="baseline"):
+        _table(tmp_path, {"D2": [[1.0, 1.0]]})
+    assert not (tmp_path / "table.csv").exists()
+
+
+def test_table_rejects_label_without_runs(tmp_path):
+    with pytest.raises(ConfigError, match="'D2' has no runs"):
+        _table(tmp_path, {"B": [[1.0, 1.0]], "D2": []})
 
 
 def test_table_csv_layout(tmp_path):
-    cells = DiscretePartition(2).intervals
-    rows = improvement_table(
-        {
-            "B": [_metric(cells[0], 2.0), _metric(cells[1], 4.0)],
-            "D2": [_metric(cells[0], 1.0), _metric(cells[1], 2.0)],
-        }
-    )
-    path = tmp_path / "table.csv"
-    write_table_csv(path, rows)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "interval,B,D2,best_policy,improvement_pct"
-    assert len(lines) == 4  # header + 2 intervals + average
-    assert lines[-1].startswith("average,")
+    _table(tmp_path, {"B": [[2.0, 4.0]], "D2": [[1.0, 2.0]]})
+    assert (tmp_path / "table.csv").read_text().splitlines() == [
+        "interval,B,D2,best_policy,improvement_pct",
+        "0:0.5,2.0,1.0,D2,50.0",
+        "0.5:1,4.0,2.0,D2,50.0",
+        "average,3.0,1.5,D2,50.0",
+    ]
+
+
+def test_table_cell_is_mean_of_present_runs(tmp_path):
+    # the run that covered nothing on 0.5:1 does not pull that cell toward 0
+    _, rows = _table(tmp_path, {"B": [[1.0, 2.0]], "D2": [[0.5, None], [1.5, 0.25]]})
+    assert rows["0:0.5"]["D2"] == repr(1.0)
+    assert rows["0.5:1"]["D2"] == repr(0.25)
+    assert rows["average"]["D2"] == repr(0.625)
+
+
+def test_table_interval_no_policy_covers(tmp_path):
+    _, rows = _table(tmp_path, {"B": [[1.0, None]], "D2": [[0.5, None], [0.25, None]]})
+    assert rows["0.5:1"] == {"B": "", "D2": "", "best_policy": "", "improvement_pct": ""}
+    assert rows["average"] == {
+        "B": "1.0", "D2": "0.375", "best_policy": "D2", "improvement_pct": "62.5",
+    }
 
 
 def test_strategy_ratio():
