@@ -43,7 +43,7 @@ from .energy import (
     sweep_threshold,
 )
 from .errors import ConfigError, IntervalcastError
-from .evaluation import rolling_eval, strategy_ratio, write_table_csv
+from .evaluation import require_baseline, rolling_eval, strategy_ratio, write_table_csv
 from .intervals import DecaySpec, DiscretePartition, Interval
 from .patching import STRATEGIES, STRATEGY_AVERAGE, STRATEGY_MAXCONF
 from .training import (
@@ -269,8 +269,8 @@ def cmd_train(args) -> int:
     started = time.time()
     series = _load_series(args)
     train_s, val_s, _ = _split_samples(series, _window_config(args), _parse_split(args.split))
-    params, report, opt = _train(args, policy, train_s, val_s, args.seed)
-    save_checkpoint(out / "checkpoint.json", params, opt, policy)
+    params, report, steps = _train(args, policy, train_s, val_s, args.seed)
+    save_checkpoint(out / "checkpoint.json", params, steps, policy)
     write_report_csv(out / "report.csv", report)
     write_summary_csv(out / "summary.csv", report)
     log = [
@@ -294,26 +294,31 @@ def cmd_eval(args) -> int:
     checkpoints = [p for p in (args.checkpoints or "").split(",") if p.strip()]
     if not checkpoints:
         raise ConfigError("--checkpoints must name at least one file")
-    series = _load_series(args)
-    partition = DiscretePartition(args.L)
-    scale = args.domain_max if args.native else 1.0
-    per_run_lines = ["label,checkpoint,interval_lo,interval_hi,mae,covered,total"]
-    runs_by_policy: dict[str, list] = {}
-    cfg = None
+    # Every checkpoint is read and checked before any evaluation runs.
+    loaded = []
     for path in checkpoints:
         params, _, policy = load_checkpoint(path)
-        if cfg is None:
-            cfg = WindowConfig(params.arch.w, params.arch.tau, args.stride)
-            _, _, test_s = _split_samples(series, cfg, _parse_split(args.split))
-            test_series = _test_series(series, cfg, test_s)
-        elif (params.arch.w, params.arch.tau) != (cfg.w, cfg.tau):
-            raise ConfigError(
-                f"{path}: window {params.arch.w}/{params.arch.tau} differs from "
-                f"the first checkpoint's {cfg.w}/{cfg.tau}"
-            )
         label = policy.label()
         if policy.kind == "dstar":
             label += f"^{args.strategy}"
+        loaded.append((path, params, policy, label))
+    first = loaded[0][1].arch
+    for path, params, _, _ in loaded[1:]:
+        if (params.arch.w, params.arch.tau) != (first.w, first.tau):
+            raise ConfigError(
+                f"{path}: window {params.arch.w}/{params.arch.tau} differs from "
+                f"the first checkpoint's {first.w}/{first.tau}"
+            )
+    require_baseline([label for *_, label in loaded])
+    series = _load_series(args)
+    partition = DiscretePartition(args.L)
+    scale = args.domain_max if args.native else 1.0
+    cfg = WindowConfig(first.w, first.tau, args.stride)
+    _, _, test_s = _split_samples(series, cfg, _parse_split(args.split))
+    test_series = _test_series(series, cfg, test_s)
+    per_run_lines = ["label,checkpoint,interval_lo,interval_hi,mae,covered,total"]
+    runs_by_policy: dict[str, list] = {}
+    for path, params, policy, label in loaded:
         metrics = rolling_eval(
             params, policy, test_series, cfg, partition.intervals,
             strategy=args.strategy, scale=scale,

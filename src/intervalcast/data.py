@@ -8,6 +8,7 @@ output segments, optionally corrupted by Gaussian noise.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,8 +175,9 @@ def chrono_split(samples: Windows, spec: SplitSpec) -> tuple[Windows, Windows, W
 
 def normalize(series: TimeSeries) -> tuple[TimeSeries, ScaleRecord]:
     """Divide by ``domain_max`` and clip to [0, 1]; clips are counted."""
-    if series.domain_max <= 0:
-        raise ConfigError(f"domain_max must be positive, got {series.domain_max}")
+    # written so that NaN, which fails every comparison, is rejected too
+    if not (0.0 < series.domain_max < math.inf):
+        raise ConfigError(f"domain_max must be positive and finite, got {series.domain_max}")
     scaled = series.values / series.domain_max
     clipped = int(np.count_nonzero((scaled < 0.0) | (scaled > 1.0)))
     out = TimeSeries(np.clip(scaled, 0.0, 1.0), series.channel_names, 1.0)

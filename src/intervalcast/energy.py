@@ -13,6 +13,7 @@ separate :func:`simulate` call at that threshold returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,11 @@ class EnergySimConfig:
     lam: float = 0.5  # trade-off weight on energy vs throughput
 
     def __post_init__(self):
-        if self.c_cap <= 0 or self.c_cov <= 0:
-            raise ConfigError("cell capacities must be positive")
+        for name in ("c_cap", "c_cov"):
+            value = getattr(self, name)
+            # written so that NaN, which fails every comparison, is rejected too
+            if not (0.0 < value < math.inf):
+                raise ConfigError(f"{name} must be a positive finite capacity, got {value}")
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if not (self.e_on >= self.e_off >= 0.0):

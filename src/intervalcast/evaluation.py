@@ -11,9 +11,10 @@ runs on one interval, and the averaged row averages its cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -44,8 +45,12 @@ def interval_mae(
     """MAE over exactly the entries whose target value lies in the interval.
 
     ``scale`` converts normalized errors to native units (pass the domain
-    maximum); the default reports normalized units.
+    maximum); the default reports normalized units. It must be positive and
+    finite.
     """
+    # written so that NaN, which fails every comparison, is rejected too
+    if not (0.0 < scale < math.inf):
+        raise ConfigError(f"scale (the domain maximum) must be positive and finite, got {scale}")
     p = np.asarray(preds, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if p.shape != t.shape:
@@ -113,8 +118,7 @@ def write_table_csv(
     non-baseline label to the baseline and is clamped at 0 when the baseline
     wins.
     """
-    if baseline not in runs_by_policy:
-        raise ConfigError(f"the comparison table needs runs of the baseline policy {baseline!r}")
+    require_baseline(runs_by_policy, baseline)
     columns = {}
     for label, runs in runs_by_policy.items():
         if not runs:
@@ -137,6 +141,12 @@ def write_table_csv(
         row = [name, *(_csv_cell(v) for v in maes.values()), best, _csv_cell(improvement)]
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def require_baseline(labels: Collection[str], baseline: str = "B") -> None:
+    """Raise :class:`ConfigError` unless the comparison table's baseline is among ``labels``."""
+    if baseline not in labels:
+        raise ConfigError(f"the comparison table needs runs of the baseline policy {baseline!r}")
 
 
 def _mean_or_none(values: Sequence[float | None]) -> float | None:

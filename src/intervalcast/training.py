@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,7 +71,10 @@ VALIDATION_PROBE_CELLS = 4  # probe partition for the continuous policy
 # Offset separating the training-loop RNG stream from the init stream.
 _LOOP_SEED_OFFSET = 0x9E3779B9
 
-CHECKPOINT_VERSION = 1
+# Version 2 keeps the update count but not the AdamW moments, which only
+# resuming training would read; version-1 files still load, moments ignored.
+CHECKPOINT_VERSION = 2
+_READABLE_CHECKPOINT_VERSIONS = (1, CHECKPOINT_VERSION)
 
 # Cache blocking. An AdamW block of 16k entries keeps its six 128 KB
 # vector slices in L2 across the update's passes. A validation row block
@@ -100,8 +104,9 @@ class PolicyConfig:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {self.kind!r}, expected one of {POLICY_KINDS}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        # written so that NaN, which fails every comparison, is rejected too
+        if not (0.0 <= self.weight_decay < math.inf):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         required = POLICY_FIELDS[self.kind]
         for name in ("task_interval", "delta", "partition", "nu", "phi"):
             value = getattr(self, name)
@@ -201,9 +206,6 @@ class AdamwState:
     @classmethod
     def zeros(cls, dim: int) -> "AdamwState":
         return cls(0, np.zeros(dim), np.zeros(dim))
-
-    def copy(self) -> "AdamwState":
-        return AdamwState(self.step, self.m.copy(), self.v.copy())
 
 
 def adamw_update(
@@ -351,13 +353,14 @@ def train(
     patience: int = DEFAULT_PATIENCE,
     hidden: int = 64,
     kernel: int = 25,
-) -> tuple[ModelParams, TrainReport, AdamwState]:
+) -> tuple[ModelParams, TrainReport, int]:
     """Mini-batch training with per-epoch cosine annealing and early stopping.
 
-    Returns the parameters (and optimizer state) from the epoch with the
-    lowest validation loss. Fully deterministic for a given seed and
-    configuration. Raises :class:`TrainingError` when every loss weight
-    drawn in an epoch is 0, since such a run would learn nothing.
+    Returns the parameters from the epoch with the lowest validation loss,
+    the report, and the number of AdamW updates behind those parameters.
+    Fully deterministic for a given seed and configuration. Raises
+    :class:`TrainingError` when every loss weight drawn in an epoch is 0,
+    since such a run would learn nothing.
     """
     if len(train_samples) == 0 or len(val_samples) == 0:
         raise TrainingError("training and validation splits must be non-empty")
@@ -405,12 +408,12 @@ def train(
             best_val = val_loss
             report.best_epoch = epoch
             best_theta = params.theta.copy()
-            best_opt = opt.copy()
+            best_step = opt.step
         elif epoch - report.best_epoch >= patience:
             report.stopped_early = True
             break
     report.wall_clock_seconds = time.perf_counter() - t0
-    return ModelParams(params.arch, best_theta), report, best_opt
+    return ModelParams(params.arch, best_theta), report, best_step
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +458,13 @@ def _policy_from_doc(doc: dict) -> PolicyConfig:
 def save_checkpoint(
     path: str | Path,
     params: ModelParams,
-    opt: AdamwState,
+    steps: int,
     policy: PolicyConfig,
 ) -> None:
-    """Versioned JSON checkpoint; floats round-trip exactly via repr."""
+    """Versioned JSON checkpoint of the weights, the update count and the policy.
+
+    Floats round-trip exactly via repr.
+    """
     arch = params.arch
     doc = {
         "version": CHECKPOINT_VERSION,
@@ -472,22 +478,24 @@ def save_checkpoint(
             "use_covariate": arch.use_covariate,
         },
         "theta": params.theta.tolist(),
-        "optimizer": {"step": opt.step, "m": opt.m.tolist(), "v": opt.v.tolist()},
+        "optimizer": {"step": operator.index(steps)},
         "policy": _policy_doc(policy),
     }
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
-def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamwState, PolicyConfig]:
-    """Read a checkpoint written by :func:`save_checkpoint`.
+def load_checkpoint(path: str | Path) -> tuple[ModelParams, int, PolicyConfig]:
+    """Read a checkpoint: the parameters, the AdamW update count and the policy.
 
-    A file that is not valid JSON, or that lacks a field or holds one of
-    the wrong type (a list in place of an object, say), raises
-    :class:`FormatError` naming the file.
+    Reads the current version and version 1, whose AdamW moments are
+    ignored. A file that is not valid JSON, or that lacks a field or holds
+    one of the wrong type (a list in place of an object, say), raises
+    :class:`FormatError` naming the file; an unknown version raises
+    :class:`ConfigError`.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if doc.get("version") != CHECKPOINT_VERSION:
+        if doc.get("version") not in _READABLE_CHECKPOINT_VERSIONS:
             raise ConfigError(
                 f"unsupported checkpoint version {doc.get('version')!r} in {path}"
             )
@@ -497,9 +505,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamwState, PolicyCo
             hidden=a["hidden"], kernel=a["kernel"], use_covariate=a["use_covariate"],
         )
         params = ModelParams(arch, np.array(doc["theta"], dtype=np.float64))
-        o = doc["optimizer"]
-        opt = AdamwState(o["step"], np.array(o["m"]), np.array(o["v"]))
-        return params, opt, _policy_from_doc(doc["policy"])
+        steps = operator.index(doc["optimizer"]["step"])
+        return params, steps, _policy_from_doc(doc["policy"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint: {type(exc).__name__}: {exc}") from exc
 

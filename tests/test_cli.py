@@ -65,6 +65,21 @@ def test_train_default_data_without_signal_fails_loudly(tmp_path, capsys):
     assert not (out / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("domain_max", ["nan", "inf"])
+def test_train_rejects_non_finite_domain_max(tmp_path, capsys, domain_max):
+    assert main(["generate", "--out", str(tmp_path)]) == 0
+    out = tmp_path / "run"
+    code = main([
+        "train", "--policy", "b", "--data", str(tmp_path / "synthds.csv"),
+        "--domain-max", domain_max, "--out", str(out),
+    ] + FAST_TRAIN)
+    assert code != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: domain_max must be positive and finite, got ")
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "checkpoint.json").exists()
+
+
 def test_train_byte_identical_reruns(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     args = ["train", "--policy", "d", "--L", "4"] + FAST_TRAIN
@@ -189,6 +204,8 @@ def test_eval_requires_baseline(tmp_path, capsys):
     assert err == (
         "error: ConfigError: the comparison table needs runs of the baseline policy 'B'\n"
     )
+    # the check runs before any evaluation, so nothing is written
+    assert not (tmp_path / "eval" / "eval_runs.csv").exists()
 
 
 def test_sweep_delta_axis(tmp_path):

@@ -165,6 +165,14 @@ def test_normalize_rejects_nonpositive_max():
         normalize(_series([1.0, 2.0], domain_max=0.0))
 
 
+@pytest.mark.parametrize("domain_max", [float("nan"), float("inf")])
+def test_normalize_rejects_non_finite_max(domain_max):
+    # NaN would give an all-NaN series and inf an all-zero one, with 0 clips
+    with pytest.raises(ConfigError) as err:
+        normalize(_series([1.0, 2.0], domain_max=domain_max))
+    assert f"domain_max must be positive and finite, got {domain_max}" in str(err.value)
+
+
 # ---------------------------------------------------------------- synthetic trace
 
 

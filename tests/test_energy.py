@@ -234,6 +234,15 @@ def test_compare_rejects_length_mismatch():
         compare_decisions(np.zeros(3), np.zeros(4), 0.5, CFG)
 
 
+@pytest.mark.parametrize("field", ["c_cap", "c_cov"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_config_rejects_bad_capacity(field, value):
+    # a NaN capacity used to pass and make the sweep report 0.0 as best
+    with pytest.raises(ConfigError) as err:
+        EnergySimConfig(**{field: value})
+    assert f"{field} must be a positive finite capacity, got {value}" in str(err.value)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         EnergySimConfig(alpha=0.0)

@@ -65,6 +65,15 @@ def test_interval_mae_scale():
     assert m.mae == pytest.approx(100.0)
 
 
+@pytest.mark.parametrize("scale", [0.0, float("nan"), float("inf")])
+def test_interval_mae_rejects_bad_scale(scale):
+    # eval --native passes --domain-max here; on synthetic data nothing else
+    # reads it, and a NaN gave an all-NaN table
+    with pytest.raises(ConfigError) as err:
+        interval_mae(np.array([[0.4]]), np.array([[0.2]]), Interval(0.0, 1.0), scale=scale)
+    assert f"must be positive and finite, got {scale}" in str(err.value)
+
+
 def test_membership_upper_exclusive_except_last():
     cells = DiscretePartition(4).intervals
     t = np.array([[0.25], [1.0]])

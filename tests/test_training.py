@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -89,6 +90,13 @@ def test_policy_requires_kind_fields():
         PolicyConfig("b", delta=0.2)  # extraneous field
     with pytest.raises(ConfigError):
         PolicyConfig("unknown")
+
+
+@pytest.mark.parametrize("weight_decay", [-0.1, math.nan, math.inf])
+def test_policy_rejects_bad_weight_decay(weight_decay):
+    with pytest.raises(ConfigError) as err:
+        PolicyConfig("b", weight_decay=weight_decay)
+    assert f"weight_decay must be finite and >= 0, got {weight_decay}" in str(err.value)
 
 
 def test_policy_phi_range():
@@ -401,19 +409,58 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         "dstar", partition=DiscretePartition(4), nu=DecaySpec(math.inf), phi=0.25,
         weight_decay=0.01,
     )
-    params, _, opt = train(policy, "linear", tr[:150], va[:50], 5, epochs=3, kernel=5)
+    params, _, steps = train(policy, "linear", tr[:150], va[:50], 5, epochs=3, kernel=5)
+    assert steps > 0
     path = tmp_path / "ck.json"
-    save_checkpoint(path, params, opt, policy)
-    loaded_params, loaded_opt, loaded_policy = load_checkpoint(path)
+    save_checkpoint(path, params, steps, policy)
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2
+    assert doc["optimizer"] == {"step": steps}  # no AdamW moments
+    loaded_params, loaded_steps, loaded_policy = load_checkpoint(path)
     assert np.array_equal(loaded_params.theta, params.theta)
     assert loaded_params.arch == params.arch
-    assert loaded_opt.step == opt.step
-    assert np.array_equal(loaded_opt.m, opt.m)
-    assert np.array_equal(loaded_opt.v, opt.v)
+    assert loaded_steps == steps
     assert loaded_policy == policy
 
-    save_checkpoint(tmp_path / "ck2.json", loaded_params, loaded_opt, loaded_policy)
+    save_checkpoint(tmp_path / "ck2.json", loaded_params, loaded_steps, loaded_policy)
     assert (tmp_path / "ck.json").read_bytes() == (tmp_path / "ck2.json").read_bytes()
+
+
+def test_checkpoint_version_1_still_loads(tmp_path):
+    # a version-1 file also holds the AdamW moments; they are ignored
+    params = init("mlp", (4, 2, 1), 3, hidden=3)
+    theta = params.theta.tolist()
+    doc = {
+        "version": 1,
+        "arch": {"kind": "mlp", "w": 4, "tau": 2, "n": 1, "hidden": 3, "kernel": 25,
+                 "use_covariate": True},
+        "theta": theta,
+        "optimizer": {"step": 7, "m": [0.5] * len(theta), "v": [0.25] * len(theta)},
+        "policy": {"kind": "dstar", "task_interval": None, "delta": None, "L": 2,
+                   "nu": "inf", "phi": 0.5, "weight_decay": 0.01},
+    }
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(doc))
+    loaded_params, steps, policy = load_checkpoint(path)
+    assert np.array_equal(loaded_params.theta, params.theta)
+    assert loaded_params.arch == params.arch
+    assert steps == 7
+    assert policy == PolicyConfig(
+        "dstar", partition=DiscretePartition(2), nu=DecaySpec(math.inf), phi=0.5,
+        weight_decay=0.01,
+    )
+
+
+def test_checkpoint_unknown_version_names_file(tmp_path):
+    params = init("mlp", (4, 2, 1), 0, hidden=3)
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, params, 0, PolicyConfig("b"))
+    doc = json.loads(path.read_text())
+    doc["version"] = 3
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value) and "version 3" in str(err.value)
 
 
 def test_checkpoint_preserves_infinite_nu(tmp_path):
@@ -421,7 +468,7 @@ def test_checkpoint_preserves_infinite_nu(tmp_path):
         "dstar", partition=DiscretePartition(2), nu=DecaySpec(math.inf), phi=0.5
     )
     params = init("mlp", (4, 2, 1), 0, hidden=3)
-    save_checkpoint(tmp_path / "ck.json", params, AdamwState.zeros(params.theta.size), policy)
+    save_checkpoint(tmp_path / "ck.json", params, 0, policy)
     _, _, loaded = load_checkpoint(tmp_path / "ck.json")
     assert math.isinf(loaded.nu.nu)
 
