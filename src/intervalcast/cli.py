@@ -5,10 +5,12 @@ one seed), ``eval`` (Table-style per-interval comparison of checkpoints),
 ``sweep`` (hyperparameter grids over L, nu, or delta), and ``energy`` (the
 threshold study and forecast-vs-truth decision comparison).
 
-Flag precedence: command line > config file (simple KEY=VALUE lines, each
-KEY a flag name such as ``L`` or ``data-seed``) > defaults. Flags, like
-config keys, must be spelled in full: no prefix of a flag is accepted. The
-default output directory comes from INTERVALCAST_OUT when set.
+Flag precedence: command line > config file > defaults. A config file's
+KEY=VALUE lines are read as the flags they name (each KEY a flag without
+its dashes, such as ``L`` or ``data-seed``), so a bad value fails as that
+flag would. Flags, like config keys, must be spelled in full: no prefix of
+a flag is accepted. The default output directory comes from
+INTERVALCAST_OUT when set.
 All result files are plain CSV; timestamps appear only in ``train.log`` so
 repeated runs with identical flags are byte-identical.
 """
@@ -87,7 +89,7 @@ def _parse_nu(text: str) -> DecaySpec:
         raise ConfigError(f"--nu expects a number or 'inf', got {text!r}") from None
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_int_list(text: str, flag: str = "--seeds") -> list[int]:
     try:
         values = [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
@@ -124,6 +126,10 @@ def _parse_sweep(text: str) -> tuple[str, list]:
         # is the 0.15 of 0:0.4:9), so sweep.csv and the C label show one value
         return "delta", [float(f"{v:.12g}") for v in _parse_thresholds(values, "--sweep delta")]
     raise ConfigError(f"unknown sweep parameter {param!r}, expected L, nu or delta")
+
+
+def _parse_paths(text: str) -> list[str]:
+    return [p for p in text.split(",") if p.strip()]
 
 
 def _parse_thresholds(text: str, flag: str = "--thresholds") -> np.ndarray:
@@ -169,13 +175,14 @@ def _out_dir(args) -> Path:
 # dataset assembly shared by train / eval / sweep
 
 
-def _load_series(args) -> TimeSeries:
+def _load_series(args) -> tuple[TimeSeries, float]:
+    """The normalized series and the raw series' domain maximum."""
     if args.data == "synth":
         raw = generate_synthds(args.data_seed, args.noise_sd)
     else:
         raw = load_csv(args.data, args.channels, args.domain_max)
     series, _ = normalize(raw)
-    return series
+    return series, raw.domain_max
 
 
 def _window_config(args) -> WindowConfig:
@@ -193,49 +200,37 @@ def _test_series(series: TimeSeries, cfg: WindowConfig, test_samples) -> TimeSer
     return TimeSeries(values, series.channel_names, series.domain_max)
 
 
-# The flag that sets each optional PolicyConfig field; its dest is the flag
-# name without the dashes.
+# Each optional PolicyConfig field: the dest of the flag that sets it and
+# the value it takes when the flag is not given. The interval has no
+# default, so the e2e policy requires its flag.
 _POLICY_FIELD_FLAGS = {
-    "task_interval": "--interval",
-    "delta": "--delta",
-    "partition": "--L",
-    "nu": "--nu",
-    "phi": "--phi",
+    "task_interval": ("interval", None),
+    "delta": ("delta", 0.2),
+    "partition": ("L", 4),
+    "nu": ("nu", DecaySpec(math.inf)),
+    "phi": ("phi", 0.5),
 }
 
 
-def _warn_ignored_flags(args) -> None:
-    """One stderr warning per policy flag that ``args.policy`` does not take."""
-    taken = POLICY_FIELDS[args.policy]
-    for name, flag in _POLICY_FIELD_FLAGS.items():
-        if name not in taken and getattr(args, flag[2:]) is not None:
-            print(f"warning: {flag} is ignored by the {args.policy} policy", file=sys.stderr)
+def _warn_ignored_flags(args, kind: str) -> None:
+    """One stderr warning per policy flag that the ``kind`` policy does not take."""
+    for name, (dest, _) in _POLICY_FIELD_FLAGS.items():
+        if name not in POLICY_FIELDS[kind] and getattr(args, dest) is not None:
+            print(f"warning: --{dest} is ignored by the {kind} policy", file=sys.stderr)
 
 
-def _policy_from_args(args) -> PolicyConfig:
-    kind = args.policy
-    if kind is None:
-        raise ConfigError("--policy is required (flag or config file)")
-    if kind == "b":
-        return PolicyConfig("b", weight_decay=args.weight_decay)
-    if kind == "e2e":
-        if args.interval is None:
-            raise ConfigError("--interval is required for the e2e policy")
-        return PolicyConfig(
-            "e2e", task_interval=_parse_interval(args.interval),
-            weight_decay=args.weight_decay,
-        )
-    if kind == "c":
-        delta = 0.2 if args.delta is None else args.delta
-        return PolicyConfig("c", delta=delta, weight_decay=args.weight_decay)
-    partition = DiscretePartition(4 if args.L is None else args.L)
-    if kind == "d":
-        return PolicyConfig("d", partition=partition, weight_decay=args.weight_decay)
-    nu = DecaySpec(math.inf) if args.nu is None else args.nu
-    phi = 0.5 if args.phi is None else args.phi
-    return PolicyConfig(
-        "dstar", partition=partition, nu=nu, phi=phi, weight_decay=args.weight_decay
-    )
+def _policy_from_args(args, kind: str, **swept) -> PolicyConfig:
+    """The ``kind`` policy from its flags, with ``swept`` values (by dest) taking precedence."""
+    fields = {}
+    for name in POLICY_FIELDS[kind]:
+        dest, default = _POLICY_FIELD_FLAGS[name]
+        value = swept.get(dest, getattr(args, dest))
+        if value is None:
+            if default is None:
+                raise ConfigError(f"--{dest} is required for the {kind} policy")
+            value = default
+        fields[name] = DiscretePartition(value) if name == "partition" else value
+    return PolicyConfig(kind, weight_decay=args.weight_decay, **fields)
 
 
 def _train(args, policy, train_s, val_s, seed):
@@ -263,12 +258,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    policy = _policy_from_args(args)
-    _warn_ignored_flags(args)
+    if args.policy is None:
+        raise ConfigError("--policy is required (flag or config file)")
+    policy = _policy_from_args(args, args.policy)
+    _warn_ignored_flags(args, args.policy)
     out = _out_dir(args)
     started = time.time()
-    series = _load_series(args)
-    train_s, val_s, _ = _split_samples(series, _window_config(args), _parse_split(args.split))
+    series, _ = _load_series(args)
+    train_s, val_s, _ = _split_samples(series, _window_config(args), args.split)
     params, report, steps = _train(args, policy, train_s, val_s, args.seed)
     save_checkpoint(out / "checkpoint.json", params, steps, policy)
     write_report_csv(out / "report.csv", report)
@@ -291,12 +288,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     out = _out_dir(args)
-    checkpoints = [p for p in (args.checkpoints or "").split(",") if p.strip()]
-    if not checkpoints:
+    if not args.checkpoints:
         raise ConfigError("--checkpoints must name at least one file")
     # Every checkpoint is read and checked before any evaluation runs.
     loaded = []
-    for path in checkpoints:
+    for path in args.checkpoints:
         params, _, policy = load_checkpoint(path)
         label = policy.label()
         if policy.kind == "dstar":
@@ -310,11 +306,11 @@ def cmd_eval(args) -> int:
                 f"the first checkpoint's {first.w}/{first.tau}"
             )
     require_baseline([label for *_, label in loaded])
-    series = _load_series(args)
+    series, domain_max = _load_series(args)
     partition = DiscretePartition(args.L)
-    scale = args.domain_max if args.native else 1.0
+    scale = domain_max if args.native else 1.0
     cfg = WindowConfig(first.w, first.tau, args.stride)
-    _, _, test_s = _split_samples(series, cfg, _parse_split(args.split))
+    _, _, test_s = _split_samples(series, cfg, args.split)
     test_series = _test_series(series, cfg, test_s)
     per_run_lines = ["label,checkpoint,interval_lo,interval_hi,mae,covered,total"]
     runs_by_policy: dict[str, list] = {}
@@ -337,27 +333,25 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
-    if not args.sweep:
+    if args.sweep is None:
         raise ConfigError("--sweep is required (flag or config file)")
-    param, values = _parse_sweep(args.sweep)
-    seeds = _parse_int_list(args.seeds, "--seeds")
+    param, values = args.sweep
     eval_cells = DiscretePartition(args.eval_L).intervals
     lines = ["param,value,seed,strategy,mae_avg"]
     summary = ["param,value,strategy,mae_avg_mean,gamma"]
-    series = _load_series(args)
+    series, _ = _load_series(args)
     cfg = _window_config(args)
-    train_s, val_s, test_s = _split_samples(series, cfg, _parse_split(args.split))
+    train_s, val_s, test_s = _split_samples(series, cfg, args.split)
     test_series = _test_series(series, cfg, test_s)
 
     kind = "c" if param == "delta" else "dstar"
-    swept = [argparse.Namespace(**{**vars(args), "policy": kind, param: v}) for v in values]
-    _warn_ignored_flags(swept[0])  # the swept flag is never ignored, so once covers all
-    for value, value_args in zip(values, swept):
-        policy = _policy_from_args(value_args)
+    policies = [_policy_from_args(args, kind, **{param: v}) for v in values]
+    _warn_ignored_flags(args, kind)  # the swept flag is never ignored
+    for value, policy in zip(values, policies):
         strategies = STRATEGIES if policy.kind == "dstar" else (STRATEGY_AVERAGE,)
         per_strategy: dict[str, list[float]] = {s: [] for s in strategies}
         value_text = value.nu if isinstance(value, DecaySpec) else value
-        for seed in seeds:
+        for seed in args.seeds:
             params, _, _ = _train(args, policy, train_s, val_s, seed)
             for strategy in strategies:
                 metrics = rolling_eval(
@@ -388,14 +382,11 @@ def cmd_energy(args) -> int:
     out = _out_dir(args)
     cfg = EnergySimConfig(
         c_cap=args.c_cap, c_cov=args.c_cov, alpha=args.alpha,
-        e_on=args.e_on, e_off=args.e_off, lam=args.lam,
-    )
-    thresholds = (
-        _parse_thresholds(args.thresholds) if args.thresholds else default_threshold_grid()
+        e_on=args.e_on, e_off=args.e_off, lam=vars(args)["lambda"],
     )
     if args.trace:
         u = _read_utilization(args.trace)
-        outcomes, best = sweep_threshold(u, thresholds, cfg)
+        outcomes, best = sweep_threshold(u, args.thresholds, cfg)
         lines = ["threshold,r_bar,e_bar,objective,sleep_steps"]
         for o in outcomes:
             lines.append(
@@ -410,7 +401,7 @@ def cmd_energy(args) -> int:
     u_true = _read_utilization(args.truth)
     u_fc = np.clip(_read_utilization(args.forecast), 0.0, 1.0)
     lines = ["threshold,sleep_duration_error,mismatch_steps,energy_error_wh"]
-    for th in thresholds:
+    for th in args.thresholds:
         errs = compare_decisions(u_true, u_fc, float(th), cfg)
         lines.append(
             f"{float(th)!r},{errs.sleep_duration_error},{errs.mismatch_steps},"
@@ -434,7 +425,8 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w", type=int, default=48, help="history window length")
     p.add_argument("--tau", type=int, default=24, help="forecast horizon")
     p.add_argument("--stride", type=int, default=1, help="window stride")
-    p.add_argument("--split", default="66,17,17", help="train,val,test fractions")
+    p.add_argument("--split", type=_parse_split, default="66,17,17",
+                   help="train,val,test fractions")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -448,7 +440,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch", type=int, default=DEFAULT_BATCH)
     p.add_argument("--patience", type=int, default=DEFAULT_PATIENCE)
     p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--interval", default=None, help="task interval 'lo,hi' (e2e)")
+    p.add_argument("--interval", type=_parse_interval, default=None,
+                   help="task interval 'lo,hi' (e2e)")
     p.add_argument("--delta", type=float, default=None, help="minimum interval length (c)")
     p.add_argument("--L", type=int, default=None, help="partition size (d, dstar)")
     p.add_argument("--nu", type=_parse_nu, default=None, help="decay rate or 'inf' (dstar)")
@@ -463,50 +456,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None)
+    common.add_argument("--config", default=None, help="file of KEY=VALUE flag settings")
 
-    p = sub.add_parser("generate", help="write the synthetic trace as CSV", allow_abbrev=False)
+    def add_command(name, func, summary):
+        p = sub.add_parser(name, help=summary, parents=[common], allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = add_command("generate", cmd_generate, "write the synthetic trace as CSV")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-sd", type=float, default=0.05)
     p.add_argument("--name", default="synthds.csv", help="output file name")
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", help="train one policy with one seed", allow_abbrev=False)
+    p = add_command("train", cmd_train, "train one policy with one seed")
     p.add_argument("--policy", choices=POLICY_KINDS, default=None)
     p.add_argument("--seed", type=int, default=0)
     _add_data_flags(p)
     _add_model_flags(p)
     _add_train_flags(p)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser(
-        "eval", help="per-interval comparison table for checkpoints", allow_abbrev=False
-    )
-    p.add_argument("--checkpoints", default=None, help="comma-separated checkpoint paths")
+    p = add_command("eval", cmd_eval, "per-interval comparison table for checkpoints")
+    p.add_argument("--checkpoints", type=_parse_paths, default=None,
+                   help="comma-separated checkpoint paths")
     p.add_argument("--L", type=int, default=4, help="evaluation partition size")
     p.add_argument("--strategy", choices=STRATEGIES, default=STRATEGY_AVERAGE)
-    p.add_argument("--native", action="store_true", help="report MAE in native units")
+    p.add_argument("--native", action="store_true",
+                   help="report MAE in the data's units (times its domain maximum)")
     _add_data_flags(p)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="grid sweep over L, nu, or delta", allow_abbrev=False)
-    p.add_argument("--sweep", default=None,
+    p = add_command("sweep", cmd_sweep, "grid sweep over L, nu, or delta")
+    p.add_argument("--sweep", type=_parse_sweep, default=None,
                    help="'L=4,8,16,32', 'nu=0,1,2,5,inf', or 'delta=0:0.4:9'")
-    p.add_argument("--seeds", default="0", help="comma-separated training seeds")
+    p.add_argument("--seeds", type=_parse_int_list, default="0",
+                   help="comma-separated training seeds")
     p.add_argument("--eval-L", type=int, default=4, help="evaluation partition size")
     _add_data_flags(p)
     _add_model_flags(p)
     _add_train_flags(p)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("energy", help="threshold study / decision comparison", allow_abbrev=False)
+    p = add_command("energy", cmd_energy, "threshold study / decision comparison")
     p.add_argument("--trace", default=None, help="utilization CSV for a threshold sweep")
     p.add_argument("--truth", default=None, help="true utilization CSV")
     p.add_argument("--forecast", default=None, help="forecast utilization CSV")
@@ -515,65 +505,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--e-on", type=float, default=1266.0)
     p.add_argument("--e-off", type=float, default=320.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--thresholds", default=None, help="'start:stop:count' grid")
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_energy)
+    p.add_argument("--lambda", type=float, default=0.5)
+    p.add_argument("--thresholds", type=_parse_thresholds, default=default_threshold_grid(),
+                   help="'start:stop:count' grid")
     return parser
 
 
-def _extract_config_path(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
+def _config_flags(path: str, defaults: dict) -> list[str]:
+    """The flag tokens that a config file's KEY=VALUE lines name.
 
-
-def _typed_config(command_parser: argparse.ArgumentParser, raw: dict[str, str]) -> dict:
-    """Convert KEY=VALUE strings through each flag's declared type.
-
-    A key names a flag by its long option without the dashes (``L``,
-    ``lambda``, ``data-seed`` or ``data_seed``), in any case. The result is
-    keyed by each flag's dest, ready for ``set_defaults``.
+    A key matches a dest of ``defaults`` in any case, with ``-`` and ``_``
+    alike; its flag is the dest with ``_`` as ``-``. A dest whose default is
+    False is a switch, given when the value reads as true.
     """
-    actions = {
-        _config_key(option[2:]): a
-        for a in command_parser._actions
-        for option in a.option_strings
-        if option.startswith("--")
-    }
-    out = {}
-    for key, value in raw.items():
-        if key not in actions:
+    dests = {_config_key(d): d for d in defaults if d not in ("command", "func")}
+    tokens = []
+    for key, value in _load_config_file(path).items():
+        if key not in dests:
             raise ConfigError(f"unknown config key {key!r}")
-        action = actions[key]
-        if isinstance(action, argparse._StoreTrueAction):
-            out[action.dest] = value.strip().lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
-                out[action.dest] = action.type(value)
-            except ValueError:
-                raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from None
-        else:
-            out[action.dest] = value
-    return out
+        flag = "--" + dests[key].replace("_", "-")
+        if defaults[dests[key]] is not False:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            tokens.append(flag)
+    return tokens
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        config_path = _extract_config_path(argv)
-        if config_path:
-            command = next((t for t in argv if not t.startswith("-")), None)
-            choices = parser._subparsers._group_actions[0].choices
-            if command in choices:
-                sub = choices[command]
-                sub.set_defaults(**_typed_config(sub, _load_config_file(config_path)))
         args = parser.parse_args(argv)
+        if args.config:
+            defaults = vars(parser.parse_args([args.command]))
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_flags(args.config, defaults)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (IntervalcastError, OSError, ValueError, KeyError) as exc:
         message = str(exc).replace("\n", " ")

@@ -25,6 +25,9 @@ from .models import ModelParams
 from .patching import STRATEGY_AVERAGE, forecast
 from .training import PolicyConfig
 
+# The label of the policy that the comparison table's improvement is measured against.
+BASELINE = "B"
+
 
 @dataclass(frozen=True, slots=True)
 class IntervalMetric:
@@ -106,7 +109,6 @@ def write_table_csv(
     path: str | Path,
     intervals: Sequence[Interval],
     runs_by_policy: dict[str, list[list[float | None]]],
-    baseline: str = "B",
 ) -> None:
     """Comma-separated comparison table: one row per interval plus an averaged row.
 
@@ -118,7 +120,7 @@ def write_table_csv(
     non-baseline label to the baseline and is clamped at 0 when the baseline
     wins.
     """
-    require_baseline(runs_by_policy, baseline)
+    require_baseline(runs_by_policy)
     columns = {}
     for label, runs in runs_by_policy.items():
         if not runs:
@@ -134,8 +136,8 @@ def write_table_csv(
         present = {k: v for k, v in maes.items() if v is not None}
         best = min(present, key=present.get) if present else ""
         improvement = None
-        base = maes[baseline]
-        rivals = [v for k, v in present.items() if k != baseline]
+        base = maes[BASELINE]
+        rivals = [v for k, v in present.items() if k != BASELINE]
         if base is not None and base > 0 and rivals:
             improvement = max(0.0, (base - min(rivals)) / base) * 100.0
         row = [name, *(_csv_cell(v) for v in maes.values()), best, _csv_cell(improvement)]
@@ -143,10 +145,10 @@ def write_table_csv(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def require_baseline(labels: Collection[str], baseline: str = "B") -> None:
+def require_baseline(labels: Collection[str]) -> None:
     """Raise :class:`ConfigError` unless the comparison table's baseline is among ``labels``."""
-    if baseline not in labels:
-        raise ConfigError(f"the comparison table needs runs of the baseline policy {baseline!r}")
+    if BASELINE not in labels:
+        raise ConfigError(f"the comparison table needs runs of the baseline policy {BASELINE!r}")
 
 
 def _mean_or_none(values: Sequence[float | None]) -> float | None:

@@ -162,8 +162,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def moving_average(history: np.ndarray, kernel: int) -> np.ndarray:
     """Length-preserving moving average along axis -2, repeat-padded at the edges."""
-    if kernel == 1:
-        return history.copy()
     front = (kernel - 1) // 2
     back = kernel - 1 - front
     pad = [(0, 0)] * history.ndim

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from intervalcast.cli import main
+from intervalcast.data import generate_synthds
 
 # sweep takes --seeds where train takes --seed, so each sweep test names its seeds
 FAST_SWEEP = ["--w", "12", "--tau", "6", "--epochs", "3", "--hidden", "6", "--noise-sd", "0"]
@@ -348,13 +349,36 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("nonsense=1\n")
     code = main(["train", "--policy", "b", "--config", str(cfg),
                  "--out", str(tmp_path / "o")] + FAST_TRAIN)
-    assert code != 0
-    assert "nonsense" in capsys.readouterr().err
+    assert code == 1
+    assert capsys.readouterr().err == "error: ConfigError: unknown config key 'nonsense'\n"
+
+
+def test_config_bad_value_fails_as_the_flag_would(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs=x\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--policy", "b", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "argument --epochs: invalid int value: 'x'" in capsys.readouterr().err
+
+    cfg.write_text("policy=zzz\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "argument --policy: invalid choice: 'zzz'" in capsys.readouterr().err
+
+    cfg.write_text("split=50,50\n")
+    code = main(["train", "--policy", "b", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: ConfigError: --split expects 'train,val,test', got '50,50'\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_keys_are_flag_names(tmp_path):
-    # --L and --lambda store to dests L and lam; a key names the flag, in any
-    # case, with - and _ alike, and acts as the flag would
+    # a key names the flag, in any case, with - and _ alike, and acts as the
+    # flag would
     fast = ["--w", "12", "--tau", "6", "--epochs", "3", "--hidden", "6", "--seed", "0"]
     cfg = tmp_path / "train.cfg"
     cfg.write_text("policy=dstar\nL=8\nnu=1\ndata-seed=3\nnoise_sd=0\n")
@@ -381,6 +405,94 @@ def test_config_keys_are_flag_names(tmp_path):
     table = (tmp_path / "e_config" / "thresholds.csv").read_bytes()
     assert table == (tmp_path / "e_flags" / "thresholds.csv").read_bytes()
     assert table != (tmp_path / "e_default" / "thresholds.csv").read_bytes()
+
+
+def _same_artifacts(tmp_path, command, config_text, flags, names, common=()):
+    """Run ``command`` once with a config file and once with ``flags``; compare ``names``."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text)
+    by_config, by_flags = tmp_path / "by_config", tmp_path / "by_flags"
+    assert main([command, "--config", str(cfg), "--out", str(by_config), *common]) == 0
+    assert main([command, *flags, "--out", str(by_flags), *common]) == 0
+    for name in names:
+        assert (by_config / name).read_bytes() == (by_flags / name).read_bytes(), name
+
+
+def test_config_interval_equals_flag(tmp_path):
+    _same_artifacts(
+        tmp_path, "train", "policy=e2e\ninterval=0.75,1\n",
+        ["--policy", "e2e", "--interval", "0.75,1"], ["checkpoint.json", "report.csv"],
+        FAST_TRAIN,
+    )
+    policy = json.loads((tmp_path / "by_config" / "checkpoint.json").read_text())["policy"]
+    assert policy["task_interval"] == [0.75, 1.0]
+
+
+def test_config_sweep_and_seeds_equal_flags(tmp_path):
+    _same_artifacts(
+        tmp_path, "sweep", "sweep=nu=0,1\nseeds=0,1\n",
+        ["--sweep", "nu=0,1", "--seeds", "0,1"], ["sweep.csv", "sweep_summary.csv"],
+        FAST_SWEEP,
+    )
+    rows = (tmp_path / "by_config" / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 8  # 2 values x 2 seeds x 2 strategies
+
+
+def test_config_thresholds_equals_flag(tmp_path):
+    trace = tmp_path / "u.csv"
+    trace.write_text("u\n" + "\n".join(repr(float(v)) for v in np.linspace(0, 0.6, 50)) + "\n")
+    _same_artifacts(
+        tmp_path, "energy", "thresholds=0:0.5:11\n", ["--thresholds", "0:0.5:11"],
+        ["thresholds.csv"], ["--trace", str(trace)],
+    )
+    lines = (tmp_path / "by_config" / "thresholds.csv").read_text().splitlines()
+    assert len(lines) == 13  # header + 11 thresholds + best-threshold footer
+
+
+def _scaled_csv(tmp_path, domain_max: float):
+    """The noise-free synthetic trace in native units of [0, domain_max], as CSV."""
+    values = generate_synthds(0, 0.0).values * domain_max
+    path = tmp_path / "native.csv"
+    path.write_text("u\n" + "\n".join(repr(float(v)) for v in values[:, 0]) + "\n")
+    return path
+
+
+def test_eval_native_scales_csv_by_domain_max(tmp_path):
+    data = ["--data", str(_scaled_csv(tmp_path, 500.0)), "--domain-max", "500"]
+    b_dir = tmp_path / "b"
+    assert main(["train", "--policy", "b", "--out", str(b_dir)] + FAST_TRAIN + data) == 0
+    ev = ["eval", "--checkpoints", f"{b_dir}/checkpoint.json"] + data
+    assert main(ev + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(ev + ["--native", "--out", str(tmp_path / "native")]) == 0
+
+    def maes(name):
+        rows = (tmp_path / name / "eval_runs.csv").read_text().splitlines()[1:]
+        return [row.split(",")[4] for row in rows]
+
+    plain, native = maes("plain"), maes("native")
+    assert any(m != "" for m in plain)
+    for p, n in zip(plain, native, strict=True):
+        assert (p == n == "") or float(n) == 500.0 * float(p)
+
+    # native=true and native=false in a config file act as --native and its absence
+    cfg = tmp_path / "native.cfg"
+    for value, twin in (("true", "native"), ("false", "plain")):
+        cfg.write_text(f"native={value}\n")
+        out = tmp_path / f"config_{value}"
+        assert main(ev + ["--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "table.csv").read_bytes() == (tmp_path / twin / "table.csv").read_bytes()
+
+
+def test_eval_native_leaves_synthetic_data_unscaled(tmp_path):
+    # the synthetic trace is already in [0, 1]: --native scales by its own
+    # domain maximum of 1, and --domain-max only applies to CSV data
+    b_dir = tmp_path / "b"
+    assert main(["train", "--policy", "b", "--out", str(b_dir)] + FAST_TRAIN) == 0
+    ev = ["eval", "--checkpoints", f"{b_dir}/checkpoint.json", "--noise-sd", "0"]
+    assert main(ev + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(ev + ["--native", "--domain-max", "100", "--out", str(tmp_path / "native")]) == 0
+    table = (tmp_path / "native" / "table.csv").read_bytes()
+    assert table == (tmp_path / "plain" / "table.csv").read_bytes()
 
 
 def test_env_var_default_out_dir(tmp_path, monkeypatch):

@@ -207,6 +207,10 @@ def test_moving_average_constant_and_length():
     out = moving_average(x, 5)
     assert out.shape == x.shape
     assert np.abs(out - 1.7).max() < 1e-12
+    # a kernel of 1 returns the history itself: the mean over one entry is exact
+    rng = np.random.default_rng(5)
+    for history in (rng.normal(size=(10, 3)), rng.normal(size=(2, 10, 3))):
+        assert np.array_equal(moving_average(history, 1), history)
 
 
 def test_moving_average_repeat_padding():
