@@ -175,12 +175,31 @@ def _out_dir(args) -> Path:
 # dataset assembly shared by train / eval / sweep
 
 
+# The data flags that only one data source reads, with their defaults. The
+# parser leaves them None, so a flag the chosen source ignores can be named.
+_DATA_FLAGS = {
+    "synthetic data": {"data_seed": 0, "noise_sd": 0.05},
+    "CSV data": {"domain_max": 1.0, "channels": 100},
+}
+
+
 def _load_series(args) -> tuple[TimeSeries, float]:
-    """The normalized series and the raw series' domain maximum."""
+    """The normalized series and the raw series' domain maximum.
+
+    Prints one stderr warning per data flag that the chosen source ignores.
+    """
+    source = "synthetic data" if args.data == "synth" else "CSV data"
+    for other, flags in _DATA_FLAGS.items():
+        for dest in flags:
+            if other != source and getattr(args, dest) is not None:
+                print(f"warning: --{dest.replace('_', '-')} is ignored with {source}",
+                      file=sys.stderr)
+    value = {dest: default if getattr(args, dest) is None else getattr(args, dest)
+             for dest, default in _DATA_FLAGS[source].items()}
     if args.data == "synth":
-        raw = generate_synthds(args.data_seed, args.noise_sd)
+        raw = generate_synthds(value["data_seed"], value["noise_sd"])
     else:
-        raw = load_csv(args.data, args.channels, args.domain_max)
+        raw = load_csv(args.data, value["channels"], value["domain_max"])
     series, _ = normalize(raw)
     return series, raw.domain_max
 
@@ -418,10 +437,11 @@ def cmd_energy(args) -> int:
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", default="synth", help="'synth' or a CSV path")
-    p.add_argument("--data-seed", type=int, default=0, help="seed for the synthetic trace")
-    p.add_argument("--noise-sd", type=float, default=0.05, help="synthetic noise level")
-    p.add_argument("--domain-max", type=float, default=1.0, help="value-domain maximum for CSV data")
-    p.add_argument("--channels", type=int, default=100, help="channel crop for CSV data")
+    p.add_argument("--data-seed", type=int, default=None, help="seed for the synthetic trace (0)")
+    p.add_argument("--noise-sd", type=float, default=None, help="synthetic noise level (0.05)")
+    p.add_argument("--domain-max", type=float, default=None,
+                   help="value-domain maximum for CSV data (1)")
+    p.add_argument("--channels", type=int, default=None, help="channel crop for CSV data (100)")
     p.add_argument("--w", type=int, default=48, help="history window length")
     p.add_argument("--tau", type=int, default=24, help="forecast horizon")
     p.add_argument("--stride", type=int, default=1, help="window stride")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,37 +227,46 @@ def load_csv(path: str, channel_limit: int, domain_max: float) -> TimeSeries:
     """Read a header-plus-numeric-rows CSV, keeping the first ``channel_limit`` columns.
 
     Rows are treated as consecutive timesteps in file order. Ragged rows,
-    unparseable cells and non-finite values (nan, inf) are rejected with
-    their location; nothing is imputed.
+    blank lines, unparseable cells and non-finite values (nan, inf) are
+    rejected with their location; nothing is imputed.
+
+    Every value comes from one ``np.loadtxt`` call over the kept columns.
+    That reader skips blank lines and, given ``usecols``, does not check row
+    widths, so a scan first counts the data lines and flags any line whose
+    comma count is off or that holds a quote. When the scan or the reader
+    finds anything, :func:`_raise_first_fault` walks the rows to name the
+    fault; if it finds none, the reader's values stand.
     """
     if channel_limit < 1:
         raise ConfigError(f"channel_limit must be >= 1, got {channel_limit}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with open(path, encoding="utf-8") as fh:
+        header = next(csv.reader(iter(fh.readline, "")), None)
         if header is None:
             raise FormatError(f"{path}: empty file, expected a header row")
         names = tuple(h.strip() for h in header[:channel_limit])
         width = len(header)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise FormatError(
-                    f"{path}: row {lineno} has {len(row)} cells, expected {width}"
+        body = fh.tell()
+        lines, suspect = 0, False
+        for line in fh:
+            lines += 1
+            suspect = suspect or '"' in line or line.count(",") != width - 1
+        if not lines:
+            raise FormatError(f"{path}: no data rows after the header")
+        fh.seek(body)
+        try:
+            with warnings.catch_warnings():
+                # a body of blank lines only; the row count below rejects it
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(
+                    fh, dtype=np.float64, delimiter=",", quotechar='"', comments=None,
+                    usecols=range(min(channel_limit, width)), ndmin=2,
                 )
-            parsed = []
-            for col, cell in enumerate(row[:channel_limit], start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {lineno}, column {col}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
-            rows.append(parsed)
-    if not rows:
-        raise FormatError(f"{path}: no data rows after the header")
-    values = np.array(rows, dtype=np.float64)
+        except ValueError as exc:
+            values, failure = None, exc
+    if values is None or suspect or len(values) != lines:
+        _raise_first_fault(path, channel_limit)
+        if values is None:
+            raise ParseError(f"{path}: cannot parse the data rows as numbers (numpy: {failure})")
     if not np.isfinite(values).all():
         row, col = np.argwhere(~np.isfinite(values))[0]
         raise ParseError(
@@ -264,6 +274,30 @@ def load_csv(path: str, channel_limit: int, domain_max: float) -> TimeSeries:
             f"non-finite value {values[row, col]!r}"
         )
     return TimeSeries(values, names, domain_max)
+
+
+def _raise_first_fault(path: str, channel_limit: int) -> None:
+    """Raise the first row-width or cell fault in the file's csv rows, if any.
+
+    Rows are numbered as ``csv.reader`` yields them, the header being row 1.
+    This walk only names faults: :func:`load_csv` takes no value from it.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        width = len(next(reader))
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise FormatError(
+                    f"{path}: row {lineno} has {len(row)} cells, expected {width}"
+                )
+            for col, cell in enumerate(row[:channel_limit], start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {lineno}, column {col}: "
+                        f"cannot parse {cell!r} as a number"
+                    ) from None
 
 
 def write_csv(series: TimeSeries, path: str) -> None:

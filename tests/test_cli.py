@@ -8,8 +8,11 @@ from intervalcast.cli import main
 from intervalcast.data import generate_synthds
 
 # sweep takes --seeds where train takes --seed, so each sweep test names its seeds
-FAST_SWEEP = ["--w", "12", "--tau", "6", "--epochs", "3", "--hidden", "6", "--noise-sd", "0"]
+FAST_MODEL = ["--w", "12", "--tau", "6", "--epochs", "3", "--hidden", "6"]
+FAST_SWEEP = FAST_MODEL + ["--noise-sd", "0"]
 FAST_TRAIN = FAST_SWEEP + ["--seed", "0"]
+# CSV data takes no --noise-sd: it would only print an ignored-flag warning
+FAST_CSV_TRAIN = FAST_MODEL + ["--seed", "0"]
 
 
 def run(args, capsys=None):
@@ -73,7 +76,7 @@ def test_train_rejects_non_finite_domain_max(tmp_path, capsys, domain_max):
     code = main([
         "train", "--policy", "b", "--data", str(tmp_path / "synthds.csv"),
         "--domain-max", domain_max, "--out", str(out),
-    ] + FAST_TRAIN)
+    ] + FAST_CSV_TRAIN)
     assert code != 0
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError: domain_max must be positive and finite, got ")
@@ -321,6 +324,21 @@ def test_energy_compare_mode(tmp_path):
     assert all(line.split(",")[1] == "0" for line in lines[1:])
 
 
+def test_energy_reads_only_the_first_column(tmp_path):
+    # a text column after the utilization is counted for the row width but
+    # never parsed
+    truth, fc = tmp_path / "t.csv", tmp_path / "f.csv"
+    vals = [repr(float(v)) for v in np.linspace(0, 0.05, 50)]
+    truth.write_text("u,note\n" + "".join(f"{v},idle\n" for v in vals))
+    fc.write_text("u\n" + "".join(f"{v}\n" for v in vals))
+    for name, args in (("text", [str(truth), str(fc)]), ("swapped", [str(fc), str(truth)])):
+        out = tmp_path / name
+        assert main(["energy", "--truth", args[0], "--forecast", args[1], "--out", str(out)]) == 0
+        lines = (out / "decision_errors.csv").read_text().strip().splitlines()
+        assert len(lines) == 27
+        assert all(line.split(",")[1:] == ["0", "0", "0.0"] for line in lines[1:])
+
+
 def test_energy_length_mismatch(tmp_path, capsys):
     truth, fc = tmp_path / "t.csv", tmp_path / "f.csv"
     truth.write_text("u\n0.1\n0.2\n")
@@ -460,7 +478,7 @@ def _scaled_csv(tmp_path, domain_max: float):
 def test_eval_native_scales_csv_by_domain_max(tmp_path):
     data = ["--data", str(_scaled_csv(tmp_path, 500.0)), "--domain-max", "500"]
     b_dir = tmp_path / "b"
-    assert main(["train", "--policy", "b", "--out", str(b_dir)] + FAST_TRAIN + data) == 0
+    assert main(["train", "--policy", "b", "--out", str(b_dir)] + FAST_CSV_TRAIN + data) == 0
     ev = ["eval", "--checkpoints", f"{b_dir}/checkpoint.json"] + data
     assert main(ev + ["--out", str(tmp_path / "plain")]) == 0
     assert main(ev + ["--native", "--out", str(tmp_path / "native")]) == 0
@@ -483,16 +501,41 @@ def test_eval_native_scales_csv_by_domain_max(tmp_path):
         assert (out / "table.csv").read_bytes() == (tmp_path / twin / "table.csv").read_bytes()
 
 
-def test_eval_native_leaves_synthetic_data_unscaled(tmp_path):
+def _warnings(capsys) -> list[str]:
+    return [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+
+
+def test_eval_native_leaves_synthetic_data_unscaled(tmp_path, capsys):
     # the synthetic trace is already in [0, 1]: --native scales by its own
     # domain maximum of 1, and --domain-max only applies to CSV data
     b_dir = tmp_path / "b"
     assert main(["train", "--policy", "b", "--out", str(b_dir)] + FAST_TRAIN) == 0
     ev = ["eval", "--checkpoints", f"{b_dir}/checkpoint.json", "--noise-sd", "0"]
     assert main(ev + ["--out", str(tmp_path / "plain")]) == 0
+    assert _warnings(capsys) == []
     assert main(ev + ["--native", "--domain-max", "100", "--out", str(tmp_path / "native")]) == 0
+    assert _warnings(capsys) == ["warning: --domain-max is ignored with synthetic data"]
     table = (tmp_path / "native" / "table.csv").read_bytes()
     assert table == (tmp_path / "plain" / "table.csv").read_bytes()
+
+
+def test_data_flags_the_source_ignores_warn_and_change_nothing(tmp_path, capsys):
+    assert main(["generate", "--out", str(tmp_path)]) == 0
+    csv_args = ["train", "--policy", "b", "--data", str(tmp_path / "synthds.csv")] + FAST_CSV_TRAIN
+    assert main(csv_args + ["--out", str(tmp_path / "plain")]) == 0
+    assert _warnings(capsys) == []
+    assert main(csv_args + ["--data-seed", "3", "--noise-sd", "0.2",
+                            "--out", str(tmp_path / "flagged")]) == 0
+    assert _warnings(capsys) == [
+        "warning: --data-seed is ignored with CSV data",
+        "warning: --noise-sd is ignored with CSV data",
+    ]
+    for name in ("checkpoint.json", "report.csv", "summary.csv"):
+        flagged = (tmp_path / "flagged" / name).read_bytes()
+        assert flagged == (tmp_path / "plain" / name).read_bytes()
+    synth_args = ["train", "--policy", "b", "--channels", "1"] + FAST_TRAIN
+    assert main(synth_args + ["--out", str(tmp_path / "synth")]) == 0
+    assert _warnings(capsys) == ["warning: --channels is ignored with synthetic data"]
 
 
 def test_env_var_default_out_dir(tmp_path, monkeypatch):
