@@ -243,6 +243,8 @@ def load_csv(path: str, channel_limit: int, domain_max: float) -> TimeSeries:
         header = next(csv.reader(iter(fh.readline, "")), None)
         if header is None:
             raise FormatError(f"{path}: empty file, expected a header row")
+        if not header:
+            raise FormatError(f"{path}: the header row (row 1) is empty")
         names = tuple(h.strip() for h in header[:channel_limit])
         width = len(header)
         body = fh.tell()

@@ -22,7 +22,7 @@ from .data import TimeSeries, WindowConfig, make_windows
 from .errors import ConfigError, DimensionError, RatioUndefinedError
 from .intervals import Interval, entries_inside
 from .models import ModelParams
-from .patching import STRATEGY_AVERAGE, forecast
+from .patching import STRATEGY_AVERAGE, forecast_each
 from .training import PolicyConfig
 
 # The label of the policy that the comparison table's improvement is measured against.
@@ -91,18 +91,15 @@ def rolling_eval(
 
     Origins advance by the horizon tau so every target timestep in the
     rolled span is forecast exactly once; each interval's absolute errors
-    are pooled across rolls and averaged by :func:`interval_mae`. Each
-    interval is forecast for every origin in one :func:`patching.forecast`
-    call on the stack of their histories, in time order, so an error about
-    history i of the stack names the i-th origin.
+    are pooled across rolls and averaged by :func:`interval_mae`. One
+    :func:`patching.forecast_each` call serves every interval from the
+    stack of all origins' histories, in time order, so the stack is
+    projected once per call and an error about history i of the stack
+    names the i-th origin.
     """
     rolls = make_windows(series, WindowConfig(cfg.w, cfg.tau, cfg.tau))
-    return [
-        interval_mae(
-            forecast(params, policy, rolls.history, iv, strategy), rolls.target, iv, scale
-        )
-        for iv in intervals
-    ]
+    preds = forecast_each(params, policy, rolls.history, intervals, strategy)
+    return [interval_mae(p, rolls.target, iv, scale) for p, iv in zip(preds, intervals)]
 
 
 def write_table_csv(

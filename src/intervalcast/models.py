@@ -16,7 +16,11 @@ The interval enters either model only as its two covariate entries, so the
 first layer is computed as a history term (:func:`project_histories`) plus
 a covariate term. :func:`forward_batch` conditions each history on its own
 interval; :func:`forward_cells` conditions every history on each of K
-intervals from one history term. Both run the same arithmetic.
+intervals from one history term. Both run the same arithmetic. A
+:class:`Projection` can be forwarded any number of times: serving
+(:func:`patching.forecast_each`) projects a stack of histories once and
+forwards each query's cells from it. The probability head's sigmoid takes
+one exp per entry and no per-entry branch.
 """
 
 from __future__ import annotations
@@ -155,9 +159,16 @@ def _slices(theta: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, from one exp
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, from one exp.
+    # With e = exp(-|z|) <= 1, max(e, z >= 0) is 1 where z >= 0 and e
+    # elsewhere (NaN stays NaN), with no per-entry branch.
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, z >= 0)
+    e += 1.0
+    out /= e
+    return out
 
 
 def moving_average(history: np.ndarray, kernel: int) -> np.ndarray:
@@ -234,7 +245,8 @@ def _outputs(projection: Projection, cov: np.ndarray, paired: bool) -> tuple:
         cov_term = cov @ v["W1"][:, wn:].T + v["b1"]
         Z = projection.term + cov_term if paired else projection.term[:, None, :] + cov_term
         A = np.tanh(Z.reshape(B * K, arch.hidden))
-        O = A @ v["W2"].T + v["b2"]
+        O = A @ v["W2"].T
+        O += v["b2"]
         half = arch.tau * arch.n
         shape = (B, K, arch.tau, arch.n)
         return O[:, :half].reshape(shape), _sigmoid(O[:, half:]).reshape(shape), A

@@ -1,19 +1,27 @@
-"""Inference-time composition of per-cell predictions for an arbitrary interval.
+"""Serving: from query intervals to forecasts, per policy.
 
-Two strategies over the partition cells that intersect the query: a
-confidence-weighted average of the cells' regression outputs, and the single
-output of the most confident cell. A cell's scalar confidence is the mean of
-its tau x n probability head; the confidences live only inside
-:func:`patch`, which returns the composed forecast alone.
+:func:`forecast_each` is the one serving path. It projects a history or a
+stack of histories once (:func:`models.project_histories`, the
+interval-free part of the first layer) and serves every query from that
+projection, forwarding only the cells that query needs. A policy without
+patching forwards the one interval it conditions on. The
+patching-augmented policy composes the partition cells that intersect the
+query with one of two strategies: a confidence-weighted average of the
+cells' regression outputs, or the single output of the most confident
+cell. A cell's scalar confidence is the mean of its tau x n probability
+head; the confidences never leave this module. :func:`forecast` and
+:func:`patch` serve one query through :func:`forecast_each`.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .errors import DegenerateConfidenceError, DimensionError, UnsupportedQueryError
-from .intervals import DiscretePartition, FULL_DOMAIN, Interval, intersecting
-from .models import ModelParams, forward_cells, project_histories
+from .intervals import INDICATOR, DiscretePartition, FULL_DOMAIN, Interval, intersecting
+from .models import ModelParams, Projection, forward_cells, project_histories
 from .training import PolicyConfig
 
 STRATEGY_AVERAGE = "avg"
@@ -23,51 +31,52 @@ STRATEGIES = (STRATEGY_AVERAGE, STRATEGY_MAXCONF)
 CONFIDENCE_FLOOR = 1e-12
 
 
-def _check_strategy(strategy: str) -> None:
-    if strategy not in STRATEGIES:
-        raise UnsupportedQueryError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+def _served_cells(policy: PolicyConfig, query: Interval) -> list[Interval]:
+    """The intervals whose outputs serve ``query`` under ``policy``.
+
+    These are the partition cells that intersect the query for the
+    patching-augmented policy, and the one interval that any other policy
+    conditions on.
+    """
+    if policy.kind == "dstar":
+        return intersecting(policy.partition, query)
+    if policy.kind == "b":
+        return [FULL_DOMAIN]
+    if policy.kind == "e2e" and query != policy.task_interval:
+        raise UnsupportedQueryError(
+            f"task-specific model trained for {policy.task_interval} "
+            f"cannot serve query {query}"
+        )
+    if policy.kind == "d" and query not in policy.partition.intervals:
+        raise UnsupportedQueryError(
+            f"query {query} is not a training cell of the L={policy.partition.L} "
+            f"partition; train the dstar policy for arbitrary intervals"
+        )
+    return [query]
 
 
 def _cell_outputs(
-    params: ModelParams, history: np.ndarray, cells: list[Interval]
+    projection: Projection, cells: list[Interval], lead: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Regression outputs (..., k, tau, n) and scalar confidences (..., k) per cell.
 
-    ``history`` is one (w, n) history or a (B, w, n) stack; the leading
-    axis of both results follows it. Each history is projected once for
-    all k cells.
+    ``projection`` holds the projected histories, and ``lead`` is the shape
+    they were given in: () for one history, (B,) for a stack. Both results
+    lead with it. The k cells are forwarded in one pass.
     """
-    h = np.asarray(history, dtype=np.float64)
-    if h.ndim not in (2, 3):
-        raise DimensionError(f"history must be (w, n) or (B, w, n), got shape {h.shape}")
-    lead = h.shape[:-2]
-    reg, prob = forward_cells(project_histories(params, h.reshape((-1,) + h.shape[-2:])), cells)
+    reg, prob = forward_cells(projection, cells)
+    arch = projection.arch
     # the mean of each probability head; sum / size skips np.mean's per-call overhead
-    conf = prob.sum(axis=(2, 3)) / (params.arch.tau * params.arch.n)
+    conf = prob.sum(axis=(2, 3)) / (arch.tau * arch.n)
     return reg.reshape(lead + reg.shape[1:]), conf.reshape(lead + (len(cells),))
 
 
-def patch(
-    params: ModelParams,
-    history: np.ndarray,
-    query: Interval,
-    partition: DiscretePartition,
-    strategy: str = STRATEGY_AVERAGE,
-) -> np.ndarray:
-    """Compose the outputs of the partition cells that intersect the query.
+def _compose(reg: np.ndarray, conf: np.ndarray, query: Interval, strategy: str) -> np.ndarray:
+    """One forecast from the outputs of the cells that serve ``query``.
 
-    With ``avg`` the result is the confidence-weighted average of the cells'
-    predictions, clamped to their per-entry min/max envelope, which the
-    exact weighted mean lies in; the clamp only guards against float
-    rounding at the envelope boundary. With ``max`` it is the prediction of
-    the single highest-confidence cell; ties go to the lower cell. A
-    (B, w, n) stack of histories is served in one pass and gives (B, tau, n)
-    forecasts, each equal to patching its history alone up to float
-    rounding. An unknown strategy raises :class:`UnsupportedQueryError`.
+    ``reg`` is (..., k, tau, n) and ``conf`` (..., k); the strategies are
+    those of :func:`patch`.
     """
-    _check_strategy(strategy)
-    cells = intersecting(partition, query)
-    reg, conf = _cell_outputs(params, history, cells)
     unclaimed = conf.max(axis=-1) <= CONFIDENCE_FLOOR
     if unclaimed.any():
         which = "the input" if conf.ndim == 1 else (
@@ -90,21 +99,46 @@ def patch(
     return pred
 
 
-def _served_cell(policy: PolicyConfig, query: Interval) -> Interval:
-    """The one interval a policy without patching conditions on to serve ``query``."""
-    if policy.kind == "b":
-        return FULL_DOMAIN
-    if policy.kind == "e2e" and query != policy.task_interval:
-        raise UnsupportedQueryError(
-            f"task-specific model trained for {policy.task_interval} "
-            f"cannot serve query {query}"
-        )
-    if policy.kind == "d" and query not in policy.partition.intervals:
-        raise UnsupportedQueryError(
-            f"query {query} is not a training cell of the L={policy.partition.L} "
-            f"partition; train the dstar policy for arbitrary intervals"
-        )
-    return query
+def forecast_each(
+    params: ModelParams,
+    policy: PolicyConfig,
+    history: np.ndarray,
+    queries: Sequence[Interval],
+    strategy: str = STRATEGY_AVERAGE,
+) -> list[np.ndarray]:
+    """Policy-aware dispatch from query intervals to forecasts, one per query.
+
+    The baseline ignores the query; the task-specific policy serves only its
+    training interval; the continuous policy conditions directly on the
+    query; the discretized policy serves exact partition cells only; the
+    patching-augmented policy composes cells with the requested strategy.
+    ``history`` is one (w, n) history, giving (tau, n) forecasts, or a
+    (B, w, n) stack, giving (B, tau, n) forecasts.
+
+    The history or stack is projected once for all queries, and each
+    query's cells are forwarded in a pass of their own: one pass over the
+    union of all queries' cells would be slower, through its larger
+    temporaries. Forecast j is bitwise equal to :func:`forecast` of query j
+    alone, and on a stack, forecast b of it equals serving history b alone
+    up to float rounding. Every query is checked before any is served. An
+    unknown strategy raises :class:`UnsupportedQueryError` for every
+    policy, though only the patching-augmented one reads it.
+    """
+    if strategy not in STRATEGIES:
+        raise UnsupportedQueryError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    served = [_served_cells(policy, query) for query in queries]
+    h = np.asarray(history, dtype=np.float64)
+    if h.ndim not in (2, 3):
+        raise DimensionError(f"history must be (w, n) or (B, w, n), got shape {h.shape}")
+    projection = project_histories(params, h.reshape((-1,) + h.shape[-2:]))
+    forecasts = []
+    for query, cells in zip(queries, served):
+        reg, conf = _cell_outputs(projection, cells, h.shape[:-2])
+        if policy.kind == "dstar":
+            forecasts.append(_compose(reg, conf, query, strategy))
+        else:
+            forecasts.append(reg[..., 0, :, :])
+    return forecasts
 
 
 def forecast(
@@ -114,19 +148,28 @@ def forecast(
     query: Interval,
     strategy: str = STRATEGY_AVERAGE,
 ) -> np.ndarray:
-    """Policy-aware dispatch from a query interval to a tau x n forecast.
+    """The forecast of one query: :func:`forecast_each` of ``[query]``."""
+    return forecast_each(params, policy, history, [query], strategy)[0]
 
-    The baseline ignores the query; the task-specific policy serves only its
-    training interval; the continuous policy conditions directly on the
-    query; the discretized policy serves exact partition cells only; the
-    patching-augmented policy composes cells with the requested strategy.
-    ``history`` is one (w, n) history, giving a (tau, n) forecast, or a
-    (B, w, n) stack, giving (B, tau, n) forecasts from one pass. An unknown
-    strategy raises :class:`UnsupportedQueryError` for every policy, though
-    only the patching-augmented one reads it.
+
+def patch(
+    params: ModelParams,
+    history: np.ndarray,
+    query: Interval,
+    partition: DiscretePartition,
+    strategy: str = STRATEGY_AVERAGE,
+) -> np.ndarray:
+    """Compose the outputs of the partition cells that intersect the query.
+
+    With ``avg`` the result is the confidence-weighted average of the cells'
+    predictions, clamped to their per-entry min/max envelope, which the
+    exact weighted mean lies in; the clamp only guards against float
+    rounding at the envelope boundary. With ``max`` it is the prediction of
+    the single highest-confidence cell; ties go to the lower cell. This is
+    :func:`forecast` of the patching-augmented policy over ``partition``,
+    so a (B, w, n) stack gives (B, tau, n) forecasts and an unknown
+    strategy raises :class:`UnsupportedQueryError`.
     """
-    _check_strategy(strategy)
-    if policy.kind == "dstar":
-        return patch(params, history, query, policy.partition, strategy)
-    reg, _ = _cell_outputs(params, history, [_served_cell(policy, query)])
-    return reg[..., 0, :, :]
+    # nu and phi shape training only; serving reads the kind and the partition
+    policy = PolicyConfig("dstar", partition=partition, nu=INDICATOR, phi=0.0)
+    return forecast(params, policy, history, query, strategy)

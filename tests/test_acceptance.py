@@ -4,12 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s``. The heavier criteria
 train small models on the synthetic trace; everything is seeded and runs in
 about a minute on one core.
 
-Criterion 2(a) is expected to fail: a mean-absolute-error learner converges
-to the conditional *median* of the noise-free trace's four-atom hypothesis
-mixture (it parks on the empirical-median hypothesis), which is 0.125 away
-from the mean hypothesis curve the criterion asks for, outside the 0.08
-tolerance. See ``ROADMAP.md``, section "Standing: acceptance criterion 2(a)
-is red", for the full analysis and measurements.
+Criterion 2(a) is expected to fail: only 20% of the baseline's entries lie
+within 0.08 of the mean hypothesis curve, against the 90% it needs. A
+mean-absolute-error learner fits the conditional median, but that is a
+small part of the miss: trained with squared error, the baseline reaches
+only 28-31%. Most of the miss is a fit bias at the rare phase that the
+criterion scores. See ``ROADMAP.md``, section "Standing: acceptance
+criterion 2(a) is red", for the measurements.
 """
 
 import functools
@@ -33,7 +34,7 @@ from intervalcast.cli import main
 from intervalcast.data import synth_hypothesis
 from intervalcast.evaluation import interval_mae
 from intervalcast.intervals import target_weights
-from intervalcast.models import ModelParams, backward, forward_batch, init
+from intervalcast.models import ModelParams, backward, forward_batch, init, project_histories
 from intervalcast.patching import _cell_outputs, forecast, intersecting, patch
 from intervalcast.training import draw_batch
 from fd_check import check_gradient
@@ -150,9 +151,10 @@ def test_criterion_2_policy_separation():
     _report(2, "synthetic-trace policy separation", ok_a and ok_b, detail)
     assert ok_b, f"D4 must beat B by >= 40% on every interval: {improvements}"
     assert ok_a, (
-        "known limitation: an MAE learner predicts the empirical-median "
-        "hypothesis on the noise-free trace, not the mean curve; see ROADMAP.md, "
-        "section 'Standing: acceptance criterion 2(a) is red'"
+        "known limitation: the MAE loss's conditional median is a small part of "
+        "the miss (a squared-error baseline reaches only 28-31%); most of it is a "
+        "fit bias at the rare phase; see ROADMAP.md, section 'Standing: acceptance "
+        "criterion 2(a) is red'"
     )
 
 
@@ -186,7 +188,7 @@ def test_criterion_4_patching_contracts():
         pred = patch(params, s.history, query, policy.partition)
         cells = intersecting(policy.partition, query)
         cells_ok &= len(cells) == 2
-        regs, _ = _cell_outputs(params, s.history, cells)
+        regs, _ = _cell_outputs(project_histories(params, s.history[None]), cells, ())
         envelope_ok &= bool(
             np.all(pred >= regs.min(axis=0)) and np.all(pred <= regs.max(axis=0))
         )

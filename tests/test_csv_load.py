@@ -115,6 +115,16 @@ def test_faults_match_the_reference(tmp_path, text, cls, where):
     assert new[0] is cls and new[1].startswith(path + ": ") and where in new[1]
 
 
+@pytest.mark.parametrize("text", ["\n1,2\n", "\n\n"])
+def test_blank_header_row_is_rejected(tmp_path, text):
+    # the per-cell reference reads a blank first line as a header of no
+    # columns and fails later, on a row width or on the (0, 0) series
+    path = _write(tmp_path, text)
+    with pytest.raises(FormatError) as err:
+        load_csv(path, 2, 1.0)
+    assert str(err.value) == f"{path}: the header row (row 1) is empty"
+
+
 @pytest.mark.parametrize("row", ["4,5", '4,"5,6"'])
 def test_short_row_hidden_from_the_kept_columns_is_rejected(tmp_path, row):
     # the kept column is present in every row, so only the width check sees

@@ -310,8 +310,8 @@ def test_rolling_eval_names_a_degenerate_origin(monkeypatch):
     # serves all origins, and its error must say which one no cell claims
     real = patching._cell_outputs
 
-    def fourth_unclaimed(params, history, cells):
-        reg, conf = real(params, history, cells)
+    def fourth_unclaimed(projection, cells, lead):
+        reg, conf = real(projection, cells, lead)
         conf = conf.copy()
         conf[3] = 0.0
         return reg, conf
@@ -322,6 +322,23 @@ def test_rolling_eval_names_a_degenerate_origin(monkeypatch):
     with pytest.raises(DegenerateConfidenceError) as err:
         rolling_eval(params, policy, _two_channel_series(8 + 4 * 9), WindowConfig(8, 4), queries)
     assert "history 3 " in str(err.value)
+
+
+@pytest.mark.parametrize("name", list(_POLICIES))
+def test_rolling_eval_projects_the_rolled_stack_once(name, monkeypatch):
+    # every interval is served from one projection of all origins' histories
+    policy, queries = _POLICIES[name]
+    params = init("mlp", (8, 4, 2), 1, hidden=5, use_covariate=policy.uses_covariate)
+    projected = []
+    real = patching.project_histories
+
+    def recording(params, histories):
+        projected.append(len(histories))
+        return real(params, histories)
+
+    monkeypatch.setattr(patching, "project_histories", recording)
+    rolling_eval(params, policy, _two_channel_series(8 + 4 * 9), WindowConfig(8, 4), queries)
+    assert projected == [9]
 
 
 def test_rolling_eval_rejects_an_unknown_strategy():

@@ -190,16 +190,24 @@ def _two_branch_sigmoid(z):
 
 def test_sigmoid_matches_two_branch_form_bitwise():
     rng = np.random.default_rng(17)
+    outputs = rng.normal(scale=8.0, size=(112, 2400))
     cases = [
-        np.array([750.0, -750.0, 0.0, -0.0, 709.0, -709.0, 37.0, -37.0, 1e-300, -1e-300]),
+        np.array([750.0, -750.0, 0.0, -0.0, 709.0, -709.0, 37.0, -37.0, 1e-300, -1e-300,
+                  np.inf, -np.inf]),
         rng.normal(size=(32, 2400)),
         rng.normal(scale=40.0, size=(7, 5, 3)),
         rng.uniform(-800.0, 800.0, size=10_000),
+        outputs[:, 1200:],  # the strided half-row view of logits that the mlp passes
     ]
     for z in cases:
         got = _sigmoid(z)
         assert got.shape == z.shape
         assert got.tobytes() == _two_branch_sigmoid(z).tobytes()
+    # NaN sign bits may differ from the reference's, so NaN is compared by position
+    z = np.array([np.nan, 0.5, -np.nan, -3.0, 0.0])
+    got, ref = _sigmoid(z), _two_branch_sigmoid(z)
+    assert np.array_equal(np.isnan(got), np.isnan(z))
+    assert got[~np.isnan(z)].tobytes() == ref[~np.isnan(z)].tobytes()
 
 
 def test_moving_average_constant_and_length():

@@ -19,7 +19,7 @@ from intervalcast import (
 )
 from intervalcast.errors import DegenerateConfidenceError, DimensionError, UnsupportedQueryError
 from intervalcast.models import forward_batch, forward_cells, init, project_histories
-from intervalcast.patching import forecast, patch
+from intervalcast.patching import forecast, forecast_each, patch
 
 DIMS = (6, 3, 1)
 
@@ -46,14 +46,15 @@ def _cells(request):
 
 
 def _cell_predictions(params, request):
-    return patching._cell_outputs(params, request["history"], _cells(request))[0]
+    projection = project_histories(params, request["history"][None])
+    return patching._cell_outputs(projection, _cells(request), ())[0]
 
 
 def _fake_outputs(regs, confs):
     regs = np.asarray(regs, dtype=float)
     confs = np.asarray(confs, dtype=float)
 
-    def fake(params, history, cells):
+    def fake(projection, cells, lead):
         return regs[: len(cells)], confs[: len(cells)]
 
     return fake
@@ -148,8 +149,8 @@ def test_confidence_reduction_invariant_to_entry_permutation():
     params = _params(5)
     request = _request(Interval(0.3, 0.6), L=4)
     rng = np.random.default_rng(0)
-    def permuted(params_, history, cells_):
-        reg_, prob = forward_cells(project_histories(params_, history[None]), cells_)
+    def permuted(projection, cells_, lead):
+        reg_, prob = forward_cells(projection, cells_)
         flat = prob.reshape(len(cells_), -1)
         perm = rng.permutation(flat.shape[1])
         return reg_[0], flat[:, perm].mean(axis=1)
@@ -268,6 +269,40 @@ def test_forecast_of_a_stack_equals_single_calls(kind, policy, query, strategy):
     singles = np.stack([forecast(params, policy, h, query, strategy) for h in stack])
     assert got.shape == (9, 3, 2)
     assert np.allclose(got, singles, rtol=0.0, atol=1e-12)
+
+
+def _servable(policy):
+    """Several queries that ``policy`` serves, in no particular order."""
+    if policy.kind == "e2e":
+        return [policy.task_interval] * 2
+    if policy.kind == "d":
+        return list(reversed(policy.partition.intervals))
+    return [Interval(0.1, 0.7), Interval(0.0, 0.25), Interval(0.0, 1.0), Interval(0.75, 1.0)]
+
+
+@pytest.mark.parametrize("kind", ["mlp", "linear"])
+@pytest.mark.parametrize("policy", [c[0] for c in _STACK_CASES], ids=lambda p: p.kind)
+@pytest.mark.parametrize("strategy", ["avg", "max"])
+@pytest.mark.parametrize("shape", [(6, 2), (9, 6, 2)], ids=["one", "stack"])
+def test_forecast_each_equals_one_forecast_per_query_bitwise(kind, policy, strategy, shape):
+    params = init(kind, (6, 3, 2), 7, hidden=5, kernel=3, use_covariate=policy.uses_covariate)
+    history = np.random.default_rng(8).uniform(0, 1, shape)
+    queries = _servable(policy)
+    got = forecast_each(params, policy, history, queries, strategy)
+    assert len(got) == len(queries)
+    for pred, query in zip(got, queries):
+        assert pred.shape == shape[:-2] + (3, 2)
+        assert pred.tobytes() == forecast(params, policy, history, query, strategy).tobytes()
+
+
+def test_forecast_each_checks_every_query_before_serving_any(monkeypatch):
+    projected = []
+    monkeypatch.setattr(patching, "project_histories", lambda *args: projected.append(args))
+    params = init("mlp", DIMS, 1, hidden=5, use_covariate=False)
+    policy = PolicyConfig("e2e", task_interval=Interval(0.75, 1.0))
+    with pytest.raises(UnsupportedQueryError):
+        forecast_each(params, policy, np.zeros((6, 1)), [Interval(0.75, 1.0), Interval(0.5, 1.0)])
+    assert projected == []
 
 
 @pytest.mark.parametrize("policy,query", _STACK_CASES, ids=lambda c: getattr(c, "kind", None))
