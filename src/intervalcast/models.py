@@ -326,34 +326,37 @@ def backward(
     reg, prob = reg[:, 0], prob[:, 0]
     loss = float(sample_losses(reg, prob, Y, draw, phi).mean())
 
+    # the output gradient is built in place: the regression half of each
+    # row, then the logit half, as the mlp's output layer lays them out
     per_entry = 1.0 / (arch.tau * arch.n)
     scale = draw.weight[:, None, None] * (per_entry / B)
-    dreg = scale * np.sign(reg - Y)
+    dO = np.empty((B, 2, arch.tau, arch.n))
+    dreg, dlogits = dO[:, 0], dO[:, 1]
+    np.subtract(reg, Y, out=dreg)
+    np.sign(dreg, out=dreg)
+    dreg *= scale
     if draw.labels is not None and phi != 0.0:
-        dlogits = (phi * scale) * (prob - draw.labels)
+        np.subtract(prob, draw.labels, out=dlogits)
+        dlogits *= phi * scale
     else:
-        dlogits = np.zeros_like(dreg)
+        dlogits[...] = 0.0
     grad = np.empty_like(params.theta)  # the views of _unpack tile it and all are written
     g = _unpack(arch, grad)
     if arch.kind == KIND_MLP:
-        half = arch.tau * arch.n
-        dO = np.empty((B, 2 * half))
-        dO[:, :half] = dreg.reshape(B, half)
-        dO[:, half:] = dlogits.reshape(B, half)
+        dO = dO.reshape(B, -1)
         v = projection.views
         (flat,) = projection.inputs
-        g["W2"][:] = dO.T @ A
+        wn = flat.shape[1]
+        np.matmul(dO.T, A, out=g["W2"])
         g["b2"][:] = dO.sum(axis=0)
         dA = dO @ v["W2"]
         dZ1 = dA * (1.0 - A * A)
-        g["W1"][:, : flat.shape[1]] = dZ1.T @ flat
-        g["W1"][:, flat.shape[1] :] = dZ1.T @ cov
+        np.matmul(dZ1.T, flat, out=g["W1"][:, :wn])
+        np.matmul(dZ1.T, cov, out=g["W1"][:, wn:])
         g["b1"][:] = dZ1.sum(axis=0)
     else:
         # per-channel output gradient: (B, n, 2*tau)
-        dO = np.concatenate(
-            [dreg.transpose(0, 2, 1), dlogits.transpose(0, 2, 1)], axis=2
-        )
+        dO = dO.transpose(0, 3, 1, 2).reshape(B, arch.n, 2 * arch.tau)
         trend, resid = projection.inputs
         dcov = dO.sum(axis=1).T @ cov   # both components see the same covariate
         g["Wt"][:, : arch.w] = np.tensordot(dO, trend, axes=([0, 1], [0, 1]))
@@ -382,11 +385,13 @@ def sample_losses(
     naming the first sample whose loss is not finite, counting samples from
     ``start`` (the batch's first row within a longer split).
     """
-    losses = draw.weight * np.abs(reg - targets).mean(axis=(1, 2))
+    # np.add.reduce and a divide: what .mean computes, without its wrapper
+    count = math.prod(targets.shape[1:])
+    losses = draw.weight * (np.add.reduce(np.abs(reg - targets), axis=(1, 2)) / count)
     if draw.labels is not None and phi != 0.0:
         p = np.clip(prob, PROB_CLAMP, 1.0 - PROB_CLAMP)
         bce = -(draw.labels * np.log(p) + (1.0 - draw.labels) * np.log1p(-p))
-        losses = losses + phi * (draw.weight * bce.mean(axis=(1, 2)))
+        losses = losses + phi * (draw.weight * (np.add.reduce(bce, axis=(1, 2)) / count))
     if not np.all(np.isfinite(losses)):
         bad = int(np.flatnonzero(~np.isfinite(losses))[0])
         raise NumericError(f"non-finite loss at batch sample {start + bad}")

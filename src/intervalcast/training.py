@@ -78,8 +78,8 @@ _READABLE_CHECKPOINT_VERSIONS = (1, CHECKPOINT_VERSION)
 
 # Cache blocking. An AdamW block of 16k entries keeps its six 128 KB
 # vector slices in L2 across the update's passes. A validation row block
-# holds about 32k target entries, so its projection, outputs and loss
-# temporaries stay a few MB however long the validation split is.
+# holds about 32k target entries, so its projection, outputs, loss weights
+# and loss temporaries stay a few MB however long the validation split is.
 _ADAMW_BLOCK = 16384
 _VALIDATION_BLOCK_ENTRIES = 32768
 
@@ -225,7 +225,9 @@ def adamw_update(
     Every entry depends only on its own index, so the sequence runs over
     blocks of ``_ADAMW_BLOCK`` entries: a block of the four vectors and of
     the two block-sized buffers stays in cache across all its passes. The
-    results are bitwise equal to the unblocked sequence. Raises
+    results are bitwise equal to the unblocked sequence. With
+    ``weight_decay == 0`` the decay term is skipped, which for finite theta
+    leaves every bit as adding ``0 * theta`` would. Raises
     :class:`DimensionError` when theta, grad and the moments differ in size.
     """
     size = theta.size
@@ -255,8 +257,9 @@ def adamw_update(
         scratch += ADAMW_EPS
         np.divide(m, m_corr, out=update)
         update /= scratch
-        np.multiply(t, weight_decay, out=scratch)
-        update += scratch
+        if weight_decay != 0.0:
+            np.multiply(t, weight_decay, out=scratch)
+            update += scratch
         update *= lr
         t -= update
 
@@ -289,17 +292,42 @@ def _validation_intervals(policy: PolicyConfig) -> tuple[Interval, ...]:
     return policy.partition.intervals
 
 
-def _validation_weights(policy: PolicyConfig, val_samples: Windows) -> list[np.ndarray]:
-    """Per-sample loss weights of the validation targets, one array per validation interval."""
+def _validation_blocks(val_samples: Windows) -> list[int]:
+    """Edges of the near-equal row blocks of about ``_VALIDATION_BLOCK_ENTRIES`` target entries.
+
+    The blocks are of near-equal size, not full blocks plus a short tail,
+    because BLAS can round a product of very few rows differently from a
+    taller one.
+    """
     Y = val_samples.target
-    return [_loss_weights(policy, Y, iv.lo, iv.hi) for iv in _validation_intervals(policy)]
+    N = len(Y)
+    blocks = -(-N // max(1, _VALIDATION_BLOCK_ENTRIES // math.prod(Y.shape[1:])))
+    return [N * i // blocks for i in range(blocks + 1)]
+
+
+def _validation_weights(policy: PolicyConfig, val_samples: Windows) -> np.ndarray:
+    """Per-sample loss weights of the validation targets, one row per validation interval.
+
+    The (intervals, N) rows are filled in the row blocks of
+    :func:`validation_loss`, so the temporaries stay a few MB however long
+    the split is. A sample's weight reads only its own targets, so each
+    row is bitwise equal to the weights of the whole split at once.
+    """
+    Y = val_samples.target
+    intervals = _validation_intervals(policy)
+    weights = np.empty((len(intervals), len(Y)))
+    edges = _validation_blocks(val_samples)
+    for lo, hi in zip(edges, edges[1:]):
+        for row, iv in zip(weights, intervals):
+            row[lo:hi] = _loss_weights(policy, Y[lo:hi], iv.lo, iv.hi)
+    return weights
 
 
 def validation_loss(
     params: ModelParams,
     policy: PolicyConfig,
     val_samples: Windows,
-    weights: list[np.ndarray] | None = None,
+    weights: np.ndarray | None = None,
 ) -> float:
     """Mean over the policy's intervals of the loss conditioned on each.
 
@@ -307,15 +335,14 @@ def validation_loss(
     (:func:`models.sample_losses` on the weights and labels that
     :func:`draw_batch` gives a sample conditioned on that interval). The
     baseline simply averages the unmasked MAE. ``weights`` holds each
-    interval's per-sample loss weights; they depend only on the targets, so
-    :func:`train` computes them once per call and passes them in. They are
-    computed here when omitted.
+    interval's per-sample loss weights as one row of an (intervals, N)
+    array; they depend only on the targets, so :func:`train` computes them
+    once per call and passes them in. They are computed here when omitted.
 
-    The samples run in row blocks of about ``_VALIDATION_BLOCK_ENTRIES``
-    target entries, each projected once for all intervals, so the
-    temporaries stay small however long the split is. The blocks are of
-    near-equal size, not full blocks plus a short tail, because BLAS can
-    round a product of very few rows differently from a taller one. Each
+    The samples run in the row blocks of :func:`_validation_blocks`, about
+    ``_VALIDATION_BLOCK_ENTRIES`` target entries each, and each block is
+    projected once for all intervals; the weights are computed in the same
+    blocks. So the temporaries stay small however long the split is. Each
     interval's per-sample losses fill one row of an (intervals, N) array,
     and each row is averaged over all N samples at once, as unblocked.
     """
@@ -328,8 +355,7 @@ def validation_loss(
     intervals = _validation_intervals(policy)
     phi = policy.effective_phi
     losses = np.empty((len(intervals), N))
-    blocks = -(-N // max(1, _VALIDATION_BLOCK_ENTRIES // math.prod(Y.shape[1:])))
-    edges = [N * i // blocks for i in range(blocks + 1)]
+    edges = _validation_blocks(val_samples)
     for lo, hi in zip(edges, edges[1:]):
         projection = project_histories(params, H[lo:hi])
         Yb = Y[lo:hi]
@@ -358,9 +384,11 @@ def train(
 
     Returns the parameters from the epoch with the lowest validation loss,
     the report, and the number of AdamW updates behind those parameters.
-    Fully deterministic for a given seed and configuration. Raises
-    :class:`TrainingError` when every loss weight drawn in an epoch is 0,
-    since such a run would learn nothing.
+    Fully deterministic for a given seed and configuration. The
+    validation loss weights depend only on the targets, so they are
+    computed once per call, in the row blocks of :func:`validation_loss`.
+    Raises :class:`TrainingError` when every loss weight drawn in an epoch
+    is 0, since such a run would learn nothing.
     """
     if len(train_samples) == 0 or len(val_samples) == 0:
         raise TrainingError("training and validation splits must be non-empty")

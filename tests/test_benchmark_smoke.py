@@ -2,9 +2,11 @@
 
 The benchmark recomputes each served forecast from fresh cell forwards and
 recombines the rolling evaluation's per-cell MAEs, both to 1e-9; the
-untraced run guards those checks against a change in the forward
-arithmetic. The traced run guards the checkpoint hooks and figures, so that
-they cannot go dead without a failing test.
+untraced runs guard those checks against a change in the forward
+arithmetic, on the synthetic trace and on the 50-channel wide series (one
+epoch of its 463k-parameter mlp, about 14 s). The traced run guards the
+checkpoint hooks and figures, so that they cannot go dead without a
+failing test.
 """
 
 import json
@@ -15,9 +17,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_benchmark_synth_train_run_is_correct():
+def _untraced_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", "synth_train",
+        [sys.executable, "benchmarks/run.py", "--workload", workload,
          "--seed", "3", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
@@ -25,6 +27,14 @@ def test_benchmark_synth_train_run_is_correct():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, result.get("checks")
     assert result["failed"] == 0
+
+
+def test_benchmark_synth_train_run_is_correct():
+    _untraced_run_is_correct("synth_train")
+
+
+def test_benchmark_wide_train_run_is_correct():
+    _untraced_run_is_correct("wide_train")
 
 
 # Trains and saves the synth_train flagship model as the benchmark prepares

@@ -25,6 +25,7 @@ from intervalcast.models import (
     forward_cells,
     project_histories,
 )
+from assembled_gradient import assembled_backward
 from concat_forward import concat_forward
 from fd_check import check_gradient
 
@@ -320,6 +321,29 @@ def test_backward_writes_every_gradient_entry(kind, monkeypatch):
     _, grad = backward(params, batch.history, batch.target, draw, 0.5)
     assert np.all(np.isfinite(grad))
     assert grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["mlp", "linear"])
+@pytest.mark.parametrize("dims, hidden, B", [(DIMS, 5, 4), ((24, 4, 10), 16, 32)])
+@pytest.mark.parametrize("labels, phi", [(True, 0.5), (True, 0.0), (False, 0.5)],
+                         ids=["labels", "labels_phi0", "no_labels"])
+def test_backward_equals_assembled_gradient_bitwise(kind, dims, hidden, B, labels, phi):
+    # the output gradient and the weight-gradient products written in place
+    # give the bytes of the gradient assembled from temporaries and copies
+    w, tau, n = dims
+    rng = np.random.default_rng(21)
+    H = rng.uniform(0, 1, (B, w, n))
+    Y = np.clip(rng.uniform(0, 1, (B, 1, 1)) + rng.normal(0, 0.05, (B, tau, n)), 0, 1)
+    policy = PolicyConfig("dstar", partition=DiscretePartition(4), nu=DecaySpec(2.0), phi=0.5)
+    draw = draw_batch(policy, Y, rng)
+    if not labels:
+        draw = draw._replace(labels=None)
+    params = init(kind, dims, 22, hidden=hidden, kernel=3, use_covariate=True)
+    loss, grad = backward(params, H, Y, draw, phi)
+    ref_loss, ref_grad = assembled_backward(params, H, Y, draw, phi)
+    assert np.any(draw.weight > 0.0)
+    assert loss == ref_loss
+    assert grad.tobytes() == ref_grad.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["mlp", "linear"])

@@ -78,6 +78,21 @@ def test_weighted_bce_values():
     )
 
 
+def test_sample_losses_equal_mean_form_bitwise():
+    # the per-sample means are np.add.reduce over (tau, n) divided by
+    # tau * n, which is what ndarray.mean computes
+    rng = np.random.default_rng(18)
+    reg, prob, Y = rng.uniform(0, 1, (3, 40, 7, 5))
+    labels = (rng.uniform(0, 1, Y.shape) < 0.5).astype(float)
+    draw = BatchDraw(np.tile([0.0, 1.0], (40, 1)), rng.uniform(0, 1, 40), labels)
+    p = np.clip(prob, 1e-12, 1.0 - 1e-12)
+    bce = -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
+    mae = draw.weight * np.abs(reg - Y).mean(axis=(1, 2))
+    expected = mae + 0.5 * (draw.weight * bce.mean(axis=(1, 2)))
+    assert sample_losses(reg, prob, Y, draw, 0.5).tobytes() == expected.tobytes()
+    assert sample_losses(reg, prob, Y, draw, 0.0).tobytes() == mae.tobytes()
+
+
 # ---------------------------------------------------------------- policy config
 
 
@@ -250,17 +265,27 @@ def test_adamw_decoupled_decay_moves_toward_zero():
 def test_adamw_update_matches_reference_formula_bitwise():
     # the in-place, blocked update reproduces the textbook expression
     # exactly (decoupled decay, Loshchilov & Hutter) over several steps,
-    # for sizes below, at and around the block size
+    # for sizes below, at and around the block size. With weight_decay 0
+    # the update skips the decay term; theta then also holds +0.0, -0.0 and
+    # negative entries, half of the zeros with a zero gradient throughout,
+    # whose bits the skipped 0 * theta term must not change either
     block = training._ADAMW_BLOCK
-    for size in (1000, 1, block - 1, block, block + 1, 3 * block + 7):
+    sizes = (1000, 1, block - 1, block, block + 1, 3 * block + 7)
+    for size, decay in [(s, True) for s in sizes] + [(s, False) for s in (1000, 3, block + 1)]:
         rng = np.random.default_rng(13)
         theta = rng.normal(size=size)
+        still = np.zeros(size, dtype=bool)
+        if not decay:
+            theta[0::4], theta[1::4] = 0.0, -0.0
+            theta[2::4] = -np.abs(theta[2::4])
+            still[0::8] = still[1::8] = True
         ref_theta, ref_m, ref_v = theta.copy(), np.zeros(size), np.zeros(size)
         state = AdamwState.zeros(size)
         b1, b2, eps = 0.9, 0.999, 1e-8
         for step in range(1, 8):
             grad = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=size)
-            lr, wd = 1e-3 / step, 0.01 * step
+            grad[still] = 0.0
+            lr, wd = 1e-3 / step, (0.01 * step if decay else 0.0)
             adamw_update(state, theta, grad, lr, wd)
             ref_m = b1 * ref_m + (1.0 - b1) * grad
             ref_v = b2 * ref_v + (1.0 - b2) * grad * grad
@@ -268,9 +293,11 @@ def test_adamw_update_matches_reference_formula_bitwise():
             v_hat = ref_v / (1.0 - b2 ** step)
             ref_theta -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * ref_theta)
             assert state.step == step
-            assert theta.tobytes() == ref_theta.tobytes(), size
-            assert state.m.tobytes() == ref_m.tobytes(), size
-            assert state.v.tobytes() == ref_v.tobytes(), size
+            assert theta.tobytes() == ref_theta.tobytes(), (size, decay)
+            assert state.m.tobytes() == ref_m.tobytes(), (size, decay)
+            assert state.v.tobytes() == ref_v.tobytes(), (size, decay)
+        if not decay:
+            assert theta[1::8].tobytes() == np.full(len(theta[1::8]), -0.0).tobytes()
 
 
 @pytest.mark.parametrize("short", ["grad", "m", "v"])
@@ -582,6 +609,51 @@ def test_validation_loss_row_blocks_match_one_block(kind, policy, monkeypatch):
     got = training.validation_loss(params, policy, val)
     assert blocks == [7, 8, 7, 8]
     assert got == pytest.approx(one_block, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("policy", [
+    PolicyConfig("b"),
+    PolicyConfig("e2e", task_interval=Interval(0.25, 0.75)),
+    PolicyConfig("c", delta=0.2),
+    PolicyConfig("d", partition=DiscretePartition(4)),
+    PolicyConfig("dstar", partition=DiscretePartition(4), nu=DecaySpec(2.0), phi=0.5),
+    PolicyConfig("dstar", partition=DiscretePartition(4), nu=INDICATOR, phi=0.5),
+], ids=["b", "e2e", "c", "d", "dstar", "dstar_inf"])
+def test_validation_weights_row_blocks_match_one_block(policy, monkeypatch):
+    # the weights fill their rows in validation's near-equal row blocks of
+    # 7, 8, 7 and 8 samples, bitwise equal to one block and to the whole
+    # split at once, since a sample's weight reads only its own targets;
+    # each sample's targets lie near one level, so many fall inside one cell
+    rng = np.random.default_rng(16)
+    val = _windows(
+        (rng.uniform(0, 1, (4, 2)), np.clip(rng.uniform(0, 1) + rng.normal(0, 0.02, (2, 2)), 0, 1))
+        for i in range(30)
+    )
+    one_block = training._validation_weights(policy, val)
+    whole = [training._loss_weights(policy, val.target, iv.lo, iv.hi)
+             for iv in training._validation_intervals(policy)]
+    monkeypatch.setattr(training, "_VALIDATION_BLOCK_ENTRIES", 32)
+    assert training._validation_blocks(val) == [0, 7, 15, 22, 30]
+    got = training._validation_weights(policy, val)
+    assert got.shape == (len(whole), 30)
+    assert got.tobytes() == one_block.tobytes() == np.stack(whole).tobytes()
+    assert np.any(got > 0.0) and (policy.kind == "b" or np.any(got < 1.0))
+
+
+def test_validation_weights_allocate_less_than_one_split_array():
+    # a long split with a finite decay rate: the blocked weights' temporaries
+    # stay far below one float64 array the size of the validation targets
+    N, tau, n = 20000, 6, 4
+    Y = np.random.default_rng(17).uniform(0, 1, (N, tau, n))
+    val = Windows(np.zeros((N, 1, n)), Y, np.arange(N))
+    policy = PolicyConfig("dstar", partition=DiscretePartition(4), nu=DecaySpec(37.0), phi=0.5)
+    tracemalloc.start()
+    try:
+        training._validation_weights(policy, val)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < Y.nbytes
 
 
 def test_validation_loss_names_non_finite_sample_across_row_blocks(monkeypatch):
