@@ -17,6 +17,7 @@ from .data import (
     load_csv,
     make_windows,
     normalize,
+    split_windows,
     write_csv,
 )
 from .energy import (
@@ -45,6 +46,7 @@ from .errors import (
 from .evaluation import (
     IntervalMetric,
     interval_mae,
+    rolled_forecasts,
     rolling_eval,
     strategy_ratio,
     write_table_csv,

@@ -31,11 +31,10 @@ from .data import (
     SplitSpec,
     TimeSeries,
     WindowConfig,
-    chrono_split,
     generate_synthds,
     load_csv,
-    make_windows,
     normalize,
+    split_windows,
     write_csv,
 )
 from .energy import (
@@ -204,21 +203,6 @@ def _load_series(args) -> tuple[TimeSeries, float]:
     return series, raw.domain_max
 
 
-def _window_config(args) -> WindowConfig:
-    return WindowConfig(args.w, args.tau, args.stride)
-
-
-def _split_samples(series, cfg, split):
-    return chrono_split(make_windows(series, cfg), split)
-
-
-def _test_series(series: TimeSeries, cfg: WindowConfig, test_samples) -> TimeSeries:
-    """Contiguous sub-series whose target span is exactly the test samples'."""
-    first, last = test_samples.t_origin[0], test_samples.t_origin[-1]
-    values = series.values[first - cfg.w : last + cfg.tau]
-    return TimeSeries(values, series.channel_names, series.domain_max)
-
-
 # Each optional PolicyConfig field: the dest of the flag that sets it and
 # the value it takes when the flag is not given. The interval has no
 # default, so the e2e policy requires its flag.
@@ -284,7 +268,8 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     started = time.time()
     series, _ = _load_series(args)
-    train_s, val_s, _ = _split_samples(series, _window_config(args), args.split)
+    cfg = WindowConfig(args.w, args.tau, args.stride)
+    train_s, val_s, _, _ = split_windows(series, cfg, args.split)
     params, report, steps = _train(args, policy, train_s, val_s, args.seed)
     save_checkpoint(out / "checkpoint.json", params, steps, policy)
     write_report_csv(out / "report.csv", report)
@@ -326,11 +311,13 @@ def cmd_eval(args) -> int:
             )
     require_baseline([label for *_, label in loaded])
     series, domain_max = _load_series(args)
+    for path, params, _, _ in loaded:
+        if params.arch.n != series.n:
+            raise ConfigError(f"{path}: {params.arch.n} channels, but the series has {series.n}")
     partition = DiscretePartition(args.L)
     scale = domain_max if args.native else 1.0
     cfg = WindowConfig(first.w, first.tau, args.stride)
-    _, _, test_s = _split_samples(series, cfg, args.split)
-    test_series = _test_series(series, cfg, test_s)
+    *_, test_series = split_windows(series, cfg, args.split)
     per_run_lines = ["label,checkpoint,interval_lo,interval_hi,mae,covered,total"]
     runs_by_policy: dict[str, list] = {}
     for path, params, policy, label in loaded:
@@ -359,9 +346,8 @@ def cmd_sweep(args) -> int:
     lines = ["param,value,seed,strategy,mae_avg"]
     summary = ["param,value,strategy,mae_avg_mean,gamma"]
     series, _ = _load_series(args)
-    cfg = _window_config(args)
-    train_s, val_s, test_s = _split_samples(series, cfg, args.split)
-    test_series = _test_series(series, cfg, test_s)
+    cfg = WindowConfig(args.w, args.tau, args.stride)
+    train_s, val_s, _, test_series = split_windows(series, cfg, args.split)
 
     kind = "c" if param == "delta" else "dstar"
     policies = [_policy_from_args(args, kind, **{param: v}) for v in values]

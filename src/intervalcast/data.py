@@ -174,6 +174,20 @@ def chrono_split(samples: Windows, spec: SplitSpec) -> tuple[Windows, Windows, W
     )
 
 
+def split_windows(
+    series: TimeSeries, cfg: WindowConfig, spec: SplitSpec
+) -> tuple[Windows, Windows, Windows, TimeSeries]:
+    """The train, validation and test windows of ``series``, and the test span.
+
+    The windows are :func:`chrono_split` of :func:`make_windows`. The test
+    span is the sub-series from the first test window's history to the last
+    test window's target: the series that rolling evaluation rolls over.
+    """
+    train, val, test = chrono_split(make_windows(series, cfg), spec)
+    values = series.values[test.t_origin[0] - cfg.w : test.t_origin[-1] + cfg.tau]
+    return train, val, test, TimeSeries(values, series.channel_names, series.domain_max)
+
+
 def normalize(series: TimeSeries) -> tuple[TimeSeries, ScaleRecord]:
     """Divide by ``domain_max`` and clip to [0, 1]; clips are counted."""
     # written so that NaN, which fails every comparison, is rejected too

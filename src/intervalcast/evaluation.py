@@ -78,6 +78,26 @@ def strategy_ratio(mae_inf: float, mae_one: float) -> float:
     return mae_inf / mae_one
 
 
+def rolled_forecasts(
+    params: ModelParams,
+    policy: PolicyConfig,
+    series: TimeSeries,
+    cfg: WindowConfig,
+    queries: Sequence[Interval],
+    strategy: str = STRATEGY_AVERAGE,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """One (origins, tau, n) forecast per query over ``series``, and the (origins, tau, n) targets.
+
+    Origins start at w and advance by the horizon tau (``cfg.stride`` is not
+    read), so every target timestep in the rolled span is forecast exactly
+    once. One :func:`patching.forecast_each` call serves every query from
+    the stack of all origins' histories, in time order, so the stack is
+    projected once per call and an error about history i names origin i.
+    """
+    rolls = make_windows(series, WindowConfig(cfg.w, cfg.tau, cfg.tau))
+    return forecast_each(params, policy, rolls.history, queries, strategy), rolls.target
+
+
 def rolling_eval(
     params: ModelParams,
     policy: PolicyConfig,
@@ -89,17 +109,11 @@ def rolling_eval(
 ) -> list[IntervalMetric]:
     """Non-overlapping rolling-origin evaluation over a normalized test series.
 
-    Origins advance by the horizon tau so every target timestep in the
-    rolled span is forecast exactly once; each interval's absolute errors
-    are pooled across rolls and averaged by :func:`interval_mae`. One
-    :func:`patching.forecast_each` call serves every interval from the
-    stack of all origins' histories, in time order, so the stack is
-    projected once per call and an error about history i of the stack
-    names the i-th origin.
+    Each interval's absolute errors over :func:`rolled_forecasts` are pooled
+    across rolls and averaged by :func:`interval_mae`.
     """
-    rolls = make_windows(series, WindowConfig(cfg.w, cfg.tau, cfg.tau))
-    preds = forecast_each(params, policy, rolls.history, intervals, strategy)
-    return [interval_mae(p, rolls.target, iv, scale) for p, iv in zip(preds, intervals)]
+    preds, targets = rolled_forecasts(params, policy, series, cfg, intervals, strategy)
+    return [interval_mae(p, targets, iv, scale) for p, iv in zip(preds, intervals)]
 
 
 def write_table_csv(

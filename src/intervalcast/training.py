@@ -20,7 +20,7 @@ import json
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -493,18 +493,9 @@ def save_checkpoint(
 
     Floats round-trip exactly via repr.
     """
-    arch = params.arch
     doc = {
         "version": CHECKPOINT_VERSION,
-        "arch": {
-            "kind": arch.kind,
-            "w": arch.w,
-            "tau": arch.tau,
-            "n": arch.n,
-            "hidden": arch.hidden,
-            "kernel": arch.kernel,
-            "use_covariate": arch.use_covariate,
-        },
+        "arch": asdict(params.arch),
         "theta": params.theta.tolist(),
         "optimizer": {"step": operator.index(steps)},
         "policy": _policy_doc(policy),
@@ -516,10 +507,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int, PolicyConfig]:
     """Read a checkpoint: the parameters, the AdamW update count and the policy.
 
     Reads the current version and version 1, whose AdamW moments are
-    ignored. A file that is not valid JSON, or that lacks a field or holds
-    one of the wrong type (a list in place of an object, say), raises
-    :class:`FormatError` naming the file; an unknown version raises
-    :class:`ConfigError`.
+    ignored. A file that is not valid JSON, that lacks a field or holds
+    one of the wrong type (a list in place of an object, say), or whose
+    weights are not all finite raises :class:`FormatError` naming the
+    file; an unknown version raises :class:`ConfigError`.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -533,6 +524,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int, PolicyConfig]:
             hidden=a["hidden"], kernel=a["kernel"], use_covariate=a["use_covariate"],
         )
         params = ModelParams(arch, np.array(doc["theta"], dtype=np.float64))
+        if not np.isfinite(params.theta).all():
+            raise ValueError("theta holds a non-finite weight")
         steps = operator.index(doc["optimizer"]["step"])
         return params, steps, _policy_from_doc(doc["policy"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

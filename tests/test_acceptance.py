@@ -35,7 +35,7 @@ from intervalcast.data import synth_hypothesis
 from intervalcast.evaluation import interval_mae
 from intervalcast.intervals import target_weights
 from intervalcast.models import ModelParams, backward, forward_batch, init, project_histories
-from intervalcast.patching import _cell_outputs, forecast, intersecting, patch
+from intervalcast.patching import _cell_outputs, intersecting, patch
 from intervalcast.training import draw_batch
 from fd_check import check_gradient
 
@@ -55,22 +55,19 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 @functools.lru_cache(maxsize=None)
 def _splits():
-    series = ic.generate_synthds(DATA_SEED, 0.0)
-    samples = ic.make_windows(series, WCFG)
-    tr, va, te = ic.chrono_split(samples, SPLIT)
-    return series, tr, va, te
+    return ic.split_windows(ic.generate_synthds(DATA_SEED, 0.0), WCFG, SPLIT)
 
 
 @functools.lru_cache(maxsize=None)
 def _baseline(seed: int):
-    _, tr, va, _ = _splits()
+    tr, va, _, _ = _splits()
     params, _, _ = ic.train(PolicyConfig("b"), "mlp", tr, va, seed, hidden=HIDDEN)
     return params
 
 
 @functools.lru_cache(maxsize=None)
 def _d4(seed: int):
-    _, tr, va, _ = _splits()
+    tr, va, _, _ = _splits()
     policy = PolicyConfig("d", partition=DiscretePartition(4))
     params, _, _ = ic.train(policy, "mlp", tr, va, seed, hidden=HIDDEN)
     return params, policy
@@ -78,7 +75,7 @@ def _d4(seed: int):
 
 @functools.lru_cache(maxsize=None)
 def _dstar4(seed: int):
-    _, tr, va, _ = _splits()
+    tr, va, _, _ = _splits()
     policy = PolicyConfig(
         "dstar", partition=DiscretePartition(4), nu=DecaySpec(0.4), phi=0.5
     )
@@ -108,7 +105,7 @@ def test_criterion_1_decay_figure():
 
 
 def test_criterion_2_policy_separation():
-    _, tr, va, te = _splits()
+    tr, va, te, _ = _splits()
     fresh = _fresh_windows(te)
     targets = fresh.target
     cells = DiscretePartition(4).intervals
@@ -159,7 +156,7 @@ def test_criterion_2_policy_separation():
 
 
 def test_criterion_3_dstar_d_equivalence():
-    _, tr, va, _ = _splits()
+    tr, va, _, _ = _splits()
     partition = DiscretePartition(4)
     d_policy = PolicyConfig("d", partition=partition)
     ds_policy = PolicyConfig(
@@ -177,7 +174,7 @@ def test_criterion_3_dstar_d_equivalence():
 
 
 def test_criterion_4_patching_contracts():
-    _, tr, va, te = _splits()
+    tr, va, te, _ = _splits()
     policy = PolicyConfig(
         "dstar", partition=DiscretePartition(8), nu=DecaySpec(37.0), phi=0.5
     )
@@ -313,30 +310,20 @@ def test_criterion_7_energy_oracles():
 
 
 def test_criterion_8_energy_directional_claim():
-    series, tr, va, te = _splits()
-    first, last = te[0].t_origin, te[-1].t_origin
-    test_vals = series.values[first - WCFG.w : last + WCFG.tau]
-    query = Interval(0.0, 0.5)
+    *_, test_series = _splits()
+    query = [Interval(0.0, 0.5)]
     cfg = ic.EnergySimConfig()
     thresholds = ic.default_threshold_grid()
 
-    def rolled(params, policy):
-        preds, truths = [], []
-        for origin in range(WCFG.w, test_vals.shape[0] - WCFG.tau + 1, WCFG.tau):
-            history = test_vals[origin - WCFG.w : origin]
-            preds.append(forecast(params, policy, history, query, "avg")[:, 0])
-            truths.append(test_vals[origin : origin + WCFG.tau, 0])
-        return np.concatenate(preds), np.concatenate(truths)
-
     wins = total = 0
     for seed in TRAIN_SEEDS:
-        pb = _baseline(seed)
-        pds, ds_policy = _dstar4(seed)
-        fc_b, truth = rolled(pb, PolicyConfig("b"))
-        fc_d, _ = rolled(pds, ds_policy)
-        u_true = 0.05 * truth
-        u_b = np.clip(0.05 * fc_b, 0.0, 1.0)
-        u_d = np.clip(0.05 * fc_d, 0.0, 1.0)
+        pb, (pds, ds_policy) = _baseline(seed), _dstar4(seed)
+        (fc_b,), truth = ic.rolled_forecasts(pb, PolicyConfig("b"), test_series, WCFG, query)
+        (fc_d,), _ = ic.rolled_forecasts(pds, ds_policy, test_series, WCFG, query)
+        # channel 0 of every rolled forecast, in time order
+        u_true = 0.05 * truth[..., 0].ravel()
+        u_b = np.clip(0.05 * fc_b[..., 0].ravel(), 0.0, 1.0)
+        u_d = np.clip(0.05 * fc_d[..., 0].ravel(), 0.0, 1.0)
         for th in thresholds:
             err_b = ic.compare_decisions(u_true, u_b, float(th), cfg)
             err_d = ic.compare_decisions(u_true, u_d, float(th), cfg)

@@ -134,7 +134,9 @@ def test_eval_builds_table(tmp_path):
         assert mae == "" or float(mae) >= 0.0, row  # a plain number, not np.float64(...)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "missing_key", "not_an_object"])
+@pytest.mark.parametrize(
+    "damage", ["truncated", "missing_key", "not_an_object", "non_finite_weight"]
+)
 def test_eval_malformed_checkpoint_names_file(tmp_path, capsys, damage):
     ck_dir = tmp_path / "b"
     assert main(["train", "--policy", "b", "--out", str(ck_dir)] + FAST_TRAIN) == 0
@@ -144,6 +146,10 @@ def test_eval_malformed_checkpoint_names_file(tmp_path, capsys, damage):
         path.write_text(text[: len(text) // 2])
     elif damage == "not_an_object":
         path.write_text("[]")
+    elif damage == "non_finite_weight":
+        doc = json.loads(text)
+        doc["theta"][3] = float("nan")
+        path.write_text(json.dumps(doc))  # json writes the bare token NaN
     else:
         doc = json.loads(text)
         del doc["arch"]["kind"]
@@ -155,6 +161,25 @@ def test_eval_malformed_checkpoint_names_file(tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert err.startswith(f"error: FormatError: {path}: malformed checkpoint")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_eval_names_a_checkpoint_whose_channels_differ_from_the_series(tmp_path, capsys):
+    values = generate_synthds(0, 0.0).values[:, 0].tolist()
+    data = tmp_path / "two.csv"
+    data.write_text("u,v\n" + "".join(f"{v!r},{1.0 - v!r}\n" for v in values))
+    ck_dir = tmp_path / "b2"
+    assert main(
+        ["train", "--policy", "b", "--data", str(data), "--out", str(ck_dir)] + FAST_CSV_TRAIN
+    ) == 0
+    capsys.readouterr()
+    path = ck_dir / "checkpoint.json"
+    code = main([
+        "eval", "--checkpoints", str(path), "--noise-sd", "0", "--out", str(tmp_path / "eval"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ConfigError: {path}: 2 channels, but the series has 1\n"
+    assert not (tmp_path / "eval" / "eval_runs.csv").exists()
 
 
 def test_eval_table_cell_is_mean_over_seeds(tmp_path):

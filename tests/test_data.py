@@ -11,6 +11,7 @@ from intervalcast import (
     load_csv,
     make_windows,
     normalize,
+    split_windows,
     write_csv,
 )
 from intervalcast.data import (
@@ -133,6 +134,32 @@ def test_split_chronological_and_disjoint():
     assert origins == sorted(origins)
     assert len(set(origins)) == len(origins)
     assert train[-1].t_origin < val[0].t_origin < test[0].t_origin
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])  # tau 4: 3 does not divide it
+@pytest.mark.parametrize("spec", [SplitSpec(0.66, 0.17, 0.17), SplitSpec(0.5, 0.2, 0.3)])
+def test_split_windows_cuts_the_test_span(stride, spec):
+    rng = np.random.default_rng(4)
+    series = _series(rng.uniform(size=(90, 2)))
+    cfg = WindowConfig(6, 4, stride)
+    train, val, test, test_series = split_windows(series, cfg, spec)
+    for got, want in zip((train, val, test), chrono_split(make_windows(series, cfg), spec)):
+        for field in ("history", "target", "t_origin"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    first, last = test.t_origin[0], test.t_origin[-1]
+    assert test_series.values.tobytes() == series.values[first - 6 : last + 4].tobytes()
+    assert test_series.channel_names == series.channel_names
+    # the rolled targets tile the span from the first test origin, leaving
+    # fewer than tau of its last steps unforecast
+    rolls = make_windows(test_series, WindowConfig(6, 4, 4))
+    end = first + 4 * len(rolls)
+    assert last < end <= last + 4
+    assert rolls.target.reshape(-1, 2).tobytes() == series.values[first:end].tobytes()
+    if stride == 1:
+        every_tau = test[::4]
+        assert rolls.history.tobytes() == every_tau.history.tobytes()
+        assert rolls.target.tobytes() == every_tau.target.tobytes()
+        assert (rolls.t_origin + first - 6).tolist() == every_tau.t_origin.tolist()
 
 
 def test_split_spec_validation():

@@ -10,6 +10,8 @@ from intervalcast import (
     TimeSeries,
     WindowConfig,
     interval_mae,
+    make_windows,
+    rolled_forecasts,
     rolling_eval,
     strategy_ratio,
     write_table_csv,
@@ -303,6 +305,27 @@ def test_rolling_eval_equals_stacked_kernel_bitwise(kind, name, strategy):
     ref = stacked_rolling_eval(params, policy, series, cfg, queries, strategy=strategy, scale=2.5)
     assert got == ref  # every field of every IntervalMetric, floats by ==
     assert got[3].interval == Interval(0.75, 1.0) and got[3].mae is None
+
+
+@pytest.mark.parametrize("name", list(_POLICIES))
+@pytest.mark.parametrize("strategy", ["avg", "max"])
+def test_rolled_forecasts_serve_the_rolled_stack(name, strategy):
+    # forecast_each of the windows tau apart, bit for bit, whatever the
+    # stride; the 3 trailing steps cannot fit a roll
+    policy, queries = _POLICIES[name]
+    params = init("mlp", (8, 4, 2), 1, hidden=5, use_covariate=policy.uses_covariate)
+    series = _two_channel_series(8 + 4 * 9 + 3)
+    preds, targets = rolled_forecasts(
+        params, policy, series, WindowConfig(8, 4, stride=3), queries, strategy
+    )
+    rolls = make_windows(series, WindowConfig(8, 4, 4))
+    want = patching.forecast_each(params, policy, rolls.history, queries, strategy)
+    assert len(preds) == len(want) == len(queries)
+    for got, ref in zip(preds, want):
+        assert got.shape == (9, 4, 2)
+        assert got.tobytes() == ref.tobytes()
+    assert targets.tobytes() == rolls.target.tobytes()
+    assert targets.reshape(-1, 2).tobytes() == series.values[8 : 8 + 36].tobytes()
 
 
 def test_rolling_eval_names_a_degenerate_origin(monkeypatch):

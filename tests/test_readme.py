@@ -25,6 +25,12 @@ def test_readme_library_example_runs():
     assert namespace["preds"].shape == (len(namespace["test_s"]), 24, 1)
     assert np.allclose(namespace["preds"][0], namespace["pred"], rtol=0.0, atol=1e-12)
     assert namespace["report"].best_epoch >= 0
+    # one roll per tau test windows (the split's stride is 1), the first at
+    # the first test window
+    rolls = (len(namespace["test_s"]) - 1) // 24 + 1
+    assert namespace["rolled"].shape == namespace["targets"].shape == (rolls, 24, 1)
+    assert np.array_equal(namespace["targets"][0], namespace["test_s"][0].target)
+    assert np.allclose(namespace["rolled"][0], namespace["pred"], rtol=0.0, atol=1e-12)
 
 
 def _cli_commands() -> list[list[str]]:
