@@ -72,7 +72,6 @@ from .patching import (
     STRATEGY_AVERAGE,
     STRATEGY_MAXCONF,
     forecast,
-    patch,
 )
 from .training import (
     AdamwState,

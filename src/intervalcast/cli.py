@@ -351,7 +351,9 @@ def cmd_sweep(args) -> int:
 
     kind = "c" if param == "delta" else "dstar"
     policies = [_policy_from_args(args, kind, **{param: v}) for v in values]
-    _warn_ignored_flags(args, kind)  # the swept flag is never ignored
+    _warn_ignored_flags(args, kind)
+    if getattr(args, param) is not None:
+        print(f"warning: --{param} is ignored: --sweep sets it", file=sys.stderr)
     for value, policy in zip(values, policies):
         strategies = STRATEGIES if policy.kind == "dstar" else (STRATEGY_AVERAGE,)
         per_strategy: dict[str, list[float]] = {s: [] for s in strategies}
@@ -384,6 +386,8 @@ def _read_utilization(path: str) -> np.ndarray:
 
 
 def cmd_energy(args) -> int:
+    if [bool(args.truth), bool(args.forecast)] != [not args.trace] * 2:
+        raise ConfigError("energy takes either --trace or both --truth and --forecast")
     out = _out_dir(args)
     cfg = EnergySimConfig(
         c_cap=args.c_cap, c_cov=args.c_cov, alpha=args.alpha,
@@ -401,8 +405,6 @@ def cmd_energy(args) -> int:
         (out / "thresholds.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {out / 'thresholds.csv'} (best threshold {best:g})")
         return 0
-    if not (args.truth and args.forecast):
-        raise ConfigError("energy needs either --trace or both --truth and --forecast")
     u_true = _read_utilization(args.truth)
     u_fc = np.clip(_read_utilization(args.forecast), 0.0, 1.0)
     lines = ["threshold,sleep_duration_error,mismatch_steps,energy_error_wh"]
@@ -428,14 +430,14 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--domain-max", type=float, default=None,
                    help="value-domain maximum for CSV data (1)")
     p.add_argument("--channels", type=int, default=None, help="channel crop for CSV data (100)")
-    p.add_argument("--w", type=int, default=48, help="history window length")
-    p.add_argument("--tau", type=int, default=24, help="forecast horizon")
     p.add_argument("--stride", type=int, default=1, help="window stride")
     p.add_argument("--split", type=_parse_split, default="66,17,17",
                    help="train,val,test fractions")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--w", type=int, default=48, help="history window length")
+    p.add_argument("--tau", type=int, default=24, help="forecast horizon")
     p.add_argument("--model", choices=("mlp", "linear"), default="mlp")
     p.add_argument("--hidden", type=int, default=64, help="mlp hidden width")
     p.add_argument("--kernel", type=int, default=25, help="linear moving-average window")

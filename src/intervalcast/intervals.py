@@ -1,10 +1,10 @@
 """Interval algebra for the conditioning covariate.
 
 Contains the interval itself, the equal-length partition of [0, 1], the one
-membership rule for target values, the exponential decay weight that
-softens the interval indicator, and the partition-intersection map used by
-the patching strategies. The interval draws of the training policies are
-batched in the training module.
+membership rule for values, the exponential decay weight that softens the
+interval indicator, and the map from a query to the partition cells that
+serve it, which applies the same membership rule. The interval draws of the
+training policies are batched in the training module.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-
-# How far cell-aligned query endpoints are pulled inward before the closed
-# intersection test, so a query does not pick up cells it merely touches.
-_BOUNDARY_SHRINK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,21 +104,14 @@ def target_weights(targets: np.ndarray, lo, hi, spec: DecaySpec) -> np.ndarray:
 
 
 def intersecting(partition: DiscretePartition, query: Interval) -> list[Interval]:
-    """Partition cells whose closed intersection with ``query`` is non-empty.
+    """Partition cells that share a value with ``query`` under :func:`entries_inside`.
 
-    A query exactly equal to one cell returns just that cell. Otherwise
-    query endpoints that coincide with a cell boundary are pulled inward by
-    1e-9 first, so the result does not include cells that only touch the
-    query at a shared endpoint. Cells come back in ascending order.
+    By that rule a cell ``[l, h)`` and a query ``[a, b)`` share a value when
+    ``l < b and a < h``, so a cell that only touches the query at an
+    endpoint is not returned. A point query ``[a, a]`` is served by the one
+    cell that holds ``a``. Cells come back in ascending order.
     """
-    for cell in partition.intervals:
-        if cell.lo == query.lo and cell.hi == query.hi:
-            return [cell]
-    boundaries = {c.lo for c in partition.intervals}
-    boundaries.add(partition.intervals[-1].hi)
     lo, hi = query.lo, query.hi
-    if lo in boundaries and lo + _BOUNDARY_SHRINK <= hi:
-        lo = lo + _BOUNDARY_SHRINK
-    if hi in boundaries and hi - _BOUNDARY_SHRINK >= lo:
-        hi = hi - _BOUNDARY_SHRINK
-    return [c for c in partition.intervals if c.lo <= hi and lo <= c.hi]
+    if lo == hi:
+        return [c for c in partition.intervals if entries_inside(lo, c.lo, c.hi)]
+    return [c for c in partition.intervals if c.lo < hi and lo < c.hi]

@@ -8,9 +8,11 @@ patching forwards the one interval it conditions on. The
 patching-augmented policy composes the partition cells that intersect the
 query with one of two strategies: a confidence-weighted average of the
 cells' regression outputs, or the single output of the most confident
-cell. A cell's scalar confidence is the mean of its tau x n probability
-head; the confidences never leave this module. :func:`forecast` and
-:func:`patch` serve one query through :func:`forecast_each`.
+cell. A cell serves a query when the two share a value under the one
+membership rule of :func:`intervals.intersecting`. A cell's scalar
+confidence is the mean of its tau x n probability head; the confidences
+never leave this module. :func:`forecast` serves one query through
+:func:`forecast_each`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateConfidenceError, DimensionError, UnsupportedQueryError
-from .intervals import INDICATOR, DiscretePartition, FULL_DOMAIN, Interval, intersecting
+from .intervals import FULL_DOMAIN, Interval, intersecting
 from .models import ModelParams, Projection, forward_cells, project_histories
 from .training import PolicyConfig
 
@@ -35,22 +37,18 @@ def _served_cells(policy: PolicyConfig, query: Interval) -> list[Interval]:
     """The intervals whose outputs serve ``query`` under ``policy``.
 
     These are the partition cells that intersect the query for the
-    patching-augmented policy, and the one interval that any other policy
-    conditions on.
+    patching-augmented policy, the full domain for the baseline, and
+    otherwise the query itself, which must be one of the policy's
+    :attr:`PolicyConfig.cells` if it has any.
     """
     if policy.kind == "dstar":
         return intersecting(policy.partition, query)
     if policy.kind == "b":
         return [FULL_DOMAIN]
-    if policy.kind == "e2e" and query != policy.task_interval:
+    if policy.cells is not None and query not in policy.cells:
         raise UnsupportedQueryError(
-            f"task-specific model trained for {policy.task_interval} "
-            f"cannot serve query {query}"
-        )
-    if policy.kind == "d" and query not in policy.partition.intervals:
-        raise UnsupportedQueryError(
-            f"query {query} is not a training cell of the L={policy.partition.L} "
-            f"partition; train the dstar policy for arbitrary intervals"
+            f"policy {policy.label()} serves only the intervals it trained on, not "
+            f"{query}; train the dstar policy for arbitrary intervals"
         )
     return [query]
 
@@ -74,8 +72,9 @@ def _cell_outputs(
 def _compose(reg: np.ndarray, conf: np.ndarray, query: Interval, strategy: str) -> np.ndarray:
     """One forecast from the outputs of the cells that serve ``query``.
 
-    ``reg`` is (..., k, tau, n) and ``conf`` (..., k); the strategies are
-    those of :func:`patch`.
+    ``reg`` is (..., k, tau, n) and ``conf`` (..., k). The ``avg`` mean is
+    clamped to the cells' per-entry envelope, which guards only against
+    float rounding; ``max`` breaks ties toward the lower cell.
     """
     unclaimed = conf.max(axis=-1) <= CONFIDENCE_FLOOR
     if unclaimed.any():
@@ -151,25 +150,3 @@ def forecast(
     """The forecast of one query: :func:`forecast_each` of ``[query]``."""
     return forecast_each(params, policy, history, [query], strategy)[0]
 
-
-def patch(
-    params: ModelParams,
-    history: np.ndarray,
-    query: Interval,
-    partition: DiscretePartition,
-    strategy: str = STRATEGY_AVERAGE,
-) -> np.ndarray:
-    """Compose the outputs of the partition cells that intersect the query.
-
-    With ``avg`` the result is the confidence-weighted average of the cells'
-    predictions, clamped to their per-entry min/max envelope, which the
-    exact weighted mean lies in; the clamp only guards against float
-    rounding at the envelope boundary. With ``max`` it is the prediction of
-    the single highest-confidence cell; ties go to the lower cell. This is
-    :func:`forecast` of the patching-augmented policy over ``partition``,
-    so a (B, w, n) stack gives (B, tau, n) forecasts and an unknown
-    strategy raises :class:`UnsupportedQueryError`.
-    """
-    # nu and phi shape training only; serving reads the kind and the partition
-    policy = PolicyConfig("dstar", partition=partition, nu=INDICATOR, phi=0.0)
-    return forecast(params, policy, history, query, strategy)

@@ -124,6 +124,15 @@ class PolicyConfig:
         return self.kind in ("c", "d", "dstar")
 
     @property
+    def cells(self) -> tuple[Interval, ...] | None:
+        """The fixed intervals the policy trains on; None for ``c``, which draws its own."""
+        if self.kind == "b":
+            return (FULL_DOMAIN,)
+        if self.kind == "e2e":
+            return (self.task_interval,)
+        return None if self.kind == "c" else self.partition.intervals
+
+    @property
     def effective_phi(self) -> float:
         return self.phi if self.kind == "dstar" else 0.0
 
@@ -147,9 +156,10 @@ def draw_batch(
 
     ``targets`` is the batch's (B, tau, n) target array. Draws are fresh
     each time a sample is seen. They consume the RNG stream exactly as one
-    scalar draw per sample in batch order would: ``integers(0, L, size=B)``
-    for the partition policies, and for ``c`` the rows of
-    ``random((B, 2))`` mapped to lo ~ U[0, 1-delta], hi ~ U[lo+delta, 1].
+    scalar draw per sample in batch order would: ``integers(0, k, size=B)``
+    over the k :attr:`PolicyConfig.cells`, which takes nothing from the
+    stream when k is 1, and for ``c`` the rows of ``random((B, 2))`` mapped
+    to lo ~ U[0, 1-delta], hi ~ U[lo+delta, 1].
     """
     Y = np.asarray(targets, dtype=np.float64)
     B = len(Y)
@@ -161,12 +171,9 @@ def draw_batch(
         hi_min = lo + policy.delta
         hi = hi_min + (1.0 - hi_min) * u[:, 1]
         bounds = np.minimum(np.column_stack((lo, hi)), 1.0)
-    elif policy.kind in ("d", "dstar"):
-        cells = np.array([(c.lo, c.hi) for c in policy.partition.intervals])
-        bounds = cells[rng.integers(0, policy.partition.L, size=B)]
     else:
-        iv = FULL_DOMAIN if policy.kind == "b" else policy.task_interval
-        bounds = np.tile(np.array([iv.lo, iv.hi]), (B, 1))
+        cells = np.array([(c.lo, c.hi) for c in policy.cells])
+        bounds = cells[rng.integers(0, len(cells), size=B)]
     lo = bounds[:, 0, None, None]
     hi = bounds[:, 1, None, None]
     return BatchDraw(bounds, _loss_weights(policy, Y, lo, hi), _entry_labels(policy, Y, lo, hi))
@@ -283,13 +290,7 @@ class TrainReport:
 
 
 def _validation_intervals(policy: PolicyConfig) -> tuple[Interval, ...]:
-    if policy.kind == "b":
-        return (FULL_DOMAIN,)
-    if policy.kind == "e2e":
-        return (policy.task_interval,)
-    if policy.kind == "c":
-        return DiscretePartition(VALIDATION_PROBE_CELLS).intervals
-    return policy.partition.intervals
+    return policy.cells or DiscretePartition(VALIDATION_PROBE_CELLS).intervals
 
 
 def _validation_blocks(val_samples: Windows) -> list[int]:

@@ -35,7 +35,7 @@ from intervalcast.data import synth_hypothesis
 from intervalcast.evaluation import interval_mae
 from intervalcast.intervals import target_weights
 from intervalcast.models import ModelParams, backward, forward_batch, init, project_histories
-from intervalcast.patching import _cell_outputs, intersecting, patch
+from intervalcast.patching import _cell_outputs, forecast, intersecting
 from intervalcast.training import draw_batch
 from fd_check import check_gradient
 
@@ -182,14 +182,14 @@ def test_criterion_4_patching_contracts():
     query = Interval(0.75, 1.0)
     cells_ok = envelope_ok = copy_ok = True
     for s in te[:50]:
-        pred = patch(params, s.history, query, policy.partition)
+        pred = forecast(params, policy, s.history, query)
         cells = intersecting(policy.partition, query)
         cells_ok &= len(cells) == 2
         regs, _ = _cell_outputs(project_histories(params, s.history[None]), cells, ())
         envelope_ok &= bool(
             np.all(pred >= regs.min(axis=0)) and np.all(pred <= regs.max(axis=0))
         )
-        pred_max = patch(params, s.history, query, policy.partition, "max")
+        pred_max = forecast(params, policy, s.history, query, "max")
         copy_ok &= any(np.array_equal(pred_max, r) for r in regs)
     ok = cells_ok and envelope_ok and copy_ok
     _report(

@@ -274,6 +274,19 @@ def test_sweep_warns_once_per_ignored_flag(tmp_path, capsys):
     assert warnings == ["warning: --L is ignored by the c policy"]
 
 
+@pytest.mark.parametrize("sweep,flag", [
+    ("L=2", ["--L", "16"]), ("nu=1", ["--nu", "2"]), ("delta=0.2:0.2:1", ["--delta", "0.3"]),
+], ids=["L", "nu", "delta"])
+def test_sweep_warns_that_it_sets_the_swept_flag(tmp_path, capsys, sweep, flag):
+    args = ["sweep", "--sweep", sweep, "--seeds", "0"] + FAST_SWEEP
+    assert main(args + flag + ["--out", str(tmp_path / "flag")]) == 0
+    assert _warnings(capsys) == [f"warning: {flag[0]} is ignored: --sweep sets it"]
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+    assert _warnings(capsys) == []
+    for name in ("sweep.csv", "sweep_summary.csv"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_sweep_partition_axis_takes_nu_flag(tmp_path):
     out = tmp_path / "sweep"
     code = main([
@@ -364,6 +377,25 @@ def test_energy_reads_only_the_first_column(tmp_path):
         assert all(line.split(",")[1:] == ["0", "0", "0.0"] for line in lines[1:])
 
 
+@pytest.mark.parametrize("flags", [
+    ["--trace", "--truth"], ["--trace", "--forecast"], ["--trace", "--truth", "--forecast"],
+    ["--truth"], [],
+])
+def test_energy_takes_a_trace_or_a_truth_and_forecast_pair(tmp_path, capsys, flags):
+    # the trace exists and the other files do not: nothing is read or written
+    trace = tmp_path / "u.csv"
+    trace.write_text("u\n0.01\n0.02\n")
+    paths = {"--trace": str(trace)}
+    out = tmp_path / "o"
+    args = [token for flag in flags for token in (flag, paths.get(flag, str(tmp_path / "no.csv")))]
+    code = main(["energy", "--out", str(out)] + args)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: ConfigError: energy takes either --trace or both --truth and --forecast\n"
+    )
+    assert not out.exists()
+
+
 def test_energy_length_mismatch(tmp_path, capsys):
     truth, fc = tmp_path / "t.csv", tmp_path / "f.csv"
     truth.write_text("u\n0.1\n0.2\n")
@@ -385,6 +417,21 @@ def test_config_file_provides_defaults_and_flags_override(tmp_path):
     out2 = tmp_path / "c2"
     assert main(["train", "--config", str(cfg), "--epochs", "3", "--out", str(out2)]) == 0
     assert len((out2 / "report.csv").read_text().splitlines()) == 4
+
+
+def test_eval_takes_no_window_flags(tmp_path, capsys):
+    # eval reads w and tau from the checkpoints, so neither is a flag or a key
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoints", "b.json", "--w", "99", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --w 99" in capsys.readouterr().err
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("w=12\n")
+    code = main(["eval", "--checkpoints", "b.json", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: ConfigError: unknown config key 'w'\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):

@@ -12,7 +12,7 @@ from intervalcast import (
     intersecting,
 )
 from intervalcast.errors import ConfigError
-from intervalcast.intervals import INDICATOR, target_weights
+from intervalcast.intervals import INDICATOR, entries_inside, target_weights
 from intervalcast.models import ModelArch, _covariate_rows
 
 
@@ -209,16 +209,47 @@ def test_intersecting_never_empty_and_ascending():
 
 
 def test_intersecting_touching_cell_excluded():
-    # the query's aligned lower endpoint pulls inward, so the cell that only
-    # touches at 0.5 stays out
+    # the cell [0.25, 0.5) holds no value of [0.5, 0.6), so it stays out
+    # though the two touch at 0.5
     cells = intersecting(DiscretePartition(4), Interval(0.5, 0.6))
     assert cells == [Interval(0.5, 0.75)]
 
 
 def test_intersecting_unaligned_closed_touch_included():
-    # an unaligned query endpoint keeps closed-set semantics against cells
+    # each cell holds values of the query: [0.1, 0.25) and [0.25, 0.3)
     cells = intersecting(DiscretePartition(4), Interval(0.1, 0.3))
     assert cells == [Interval(0.0, 0.25), Interval(0.25, 0.5)]
+
+
+def test_intersecting_point_query_takes_the_cell_holding_its_value():
+    partition = DiscretePartition(4)
+    assert intersecting(partition, Interval(0.5, 0.5)) == [Interval(0.5, 0.75)]
+    assert intersecting(partition, Interval(1.0, 1.0)) == [Interval(0.75, 1.0)]
+    assert intersecting(partition, Interval(0.3, 0.3)) == [Interval(0.25, 0.5)]
+
+
+@pytest.mark.parametrize("L", [1, 3, 4, 8])
+def test_intersecting_cells_are_those_holding_a_value_of_the_query(L):
+    # the returned cells are those holding, by entries_inside, a value of the
+    # query: so every value of the query lies in a returned cell, and every
+    # returned cell holds one. The grid holds the cell boundaries and the
+    # query's lower end, so a cell sharing any value with the query holds a
+    # grid value inside it. Query endpoints fall on and off cell boundaries.
+    partition = DiscretePartition(L)
+    cells = partition.intervals
+    boundaries = [c.lo for c in cells] + [1.0]
+    rng = np.random.default_rng(L)
+    for _ in range(300):
+        ends = [rng.choice(boundaries) if rng.random() < 0.5 else rng.uniform(0, 1)
+                for _ in range(2)]
+        lo, hi = min(ends), max(ends)
+        if lo == hi:
+            continue
+        grid = np.union1d(np.linspace(0.0, 1.0, 4097), boundaries + [lo])
+        values = grid[entries_inside(grid, lo, hi)]
+        got = intersecting(partition, Interval(lo, hi))
+        holding = [c for c in cells if entries_inside(values, c.lo, c.hi).any()]
+        assert got == holding
 
 
 def test_partition_validation():

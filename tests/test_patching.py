@@ -19,7 +19,7 @@ from intervalcast import (
 )
 from intervalcast.errors import DegenerateConfidenceError, DimensionError, UnsupportedQueryError
 from intervalcast.models import forward_batch, forward_cells, init, project_histories
-from intervalcast.patching import forecast, forecast_each, patch
+from intervalcast.patching import forecast, forecast_each
 
 DIMS = (6, 3, 1)
 
@@ -28,12 +28,15 @@ def _params(seed=0):
     return init("mlp", DIMS, seed, hidden=5, use_covariate=True)
 
 
+def _dstar(L):
+    return PolicyConfig("dstar", partition=DiscretePartition(L), nu=DecaySpec(math.inf), phi=0.5)
+
+
 def _request(query, L=4, strategy="avg", seed=1):
-    """The arguments of one patch call after ``params``, by name."""
+    """The arguments of one dstar forecast call after ``params``, by name."""
     rng = np.random.default_rng(seed)
     return dict(
-        history=rng.uniform(0, 1, (6, 1)), query=query, partition=DiscretePartition(L),
-        strategy=strategy,
+        policy=_dstar(L), history=rng.uniform(0, 1, (6, 1)), query=query, strategy=strategy,
     )
 
 
@@ -42,7 +45,7 @@ def _max(request):
 
 
 def _cells(request):
-    return patching.intersecting(request["partition"], request["query"])
+    return patching.intersecting(request["policy"].partition, request["query"])
 
 
 def _cell_predictions(params, request):
@@ -63,7 +66,7 @@ def _fake_outputs(regs, confs):
 def test_single_cell_returns_exact_output():
     params = _params()
     request = _request(Interval(0.25, 0.5))
-    pred = patch(params, **request)
+    pred = forecast(params, **request)
     assert _cells(request) == [Interval(0.25, 0.5)]
     direct = forward_batch(params, request["history"][None], [Interval(0.25, 0.5)])[0][0]
     assert np.array_equal(pred, direct)
@@ -72,21 +75,21 @@ def test_single_cell_returns_exact_output():
 def test_average_equal_confidences(monkeypatch):
     regs = np.stack([np.full((3, 1), 0.2), np.full((3, 1), 0.6)])
     monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, [0.4, 0.4]))
-    pred = patch(_params(), **_request(Interval(0.3, 0.6), L=4))
+    pred = forecast(_params(), **_request(Interval(0.3, 0.6), L=4))
     assert np.allclose(pred, 0.4)
 
 
 def test_average_weighted_by_confidence(monkeypatch):
     regs = np.stack([np.full((3, 1), 1.0), np.full((3, 1), 0.0)])
     monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, [0.9, 0.1]))
-    pred = patch(_params(), **_request(Interval(0.3, 0.6), L=4))
+    pred = forecast(_params(), **_request(Interval(0.3, 0.6), L=4))
     assert np.allclose(pred, 0.9)
 
 
 def test_maxconf_takes_argmax(monkeypatch):
     regs = np.stack([np.full((3, 1), 0.11), np.full((3, 1), 0.77)])
     monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, [0.2, 0.8]))
-    pred = patch(_params(), **_max(_request(Interval(0.3, 0.6), L=4)))
+    pred = forecast(_params(), **_max(_request(Interval(0.3, 0.6), L=4)))
     assert np.array_equal(pred, regs[1])
 
 
@@ -94,7 +97,7 @@ def test_maxconf_tie_breaks_low(monkeypatch):
     regs = np.stack([np.full((3, 1), 0.11), np.full((3, 1), 0.77)])
     monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, [0.5, 0.5]))
     request = _max(_request(Interval(0.3, 0.6), L=4))
-    pred = patch(_params(), **request)
+    pred = forecast(_params(), **request)
     assert np.array_equal(pred, regs[0])
     low, high = _cells(request)
     assert low.lo < high.lo
@@ -104,9 +107,9 @@ def test_degenerate_confidences_raise(monkeypatch):
     regs = np.zeros((2, 3, 1))
     monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, [0.0, 1e-13]))
     with pytest.raises(DegenerateConfidenceError):
-        patch(_params(), **_request(Interval(0.3, 0.6), L=4))
+        forecast(_params(), **_request(Interval(0.3, 0.6), L=4))
     with pytest.raises(DegenerateConfidenceError):
-        patch(_params(), **_max(_request(Interval(0.3, 0.6), L=4)))
+        forecast(_params(), **_max(_request(Interval(0.3, 0.6), L=4)))
 
 
 def test_average_inside_envelope_random_models():
@@ -114,7 +117,7 @@ def test_average_inside_envelope_random_models():
     for seed in range(5):
         params = _params(seed)
         request = _request(Interval(0.1, 0.9), L=8, seed=seed)
-        pred = patch(params, **request)
+        pred = forecast(params, **request)
         regs = _cell_predictions(params, request)
         assert np.all(pred >= regs.min(axis=0))
         assert np.all(pred <= regs.max(axis=0))
@@ -123,7 +126,7 @@ def test_average_inside_envelope_random_models():
 def test_maxconf_bit_identical_to_one_cell():
     params = _params(4)
     request = _request(Interval(0.0, 1.0), L=8, strategy="max")
-    pred = patch(params, **request)
+    pred = forecast(params, **request)
     assert any(np.array_equal(pred, r) for r in _cell_predictions(params, request))
 
 
@@ -131,14 +134,14 @@ def test_strategies_invariant_to_cell_order(monkeypatch):
     regs = np.stack([np.full((3, 1), v) for v in (0.1, 0.5, 0.9)])
     confs = np.array([0.2, 0.7, 0.4])
     monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, confs))
-    avg1 = patch(_params(), **_request(Interval(0.1, 0.7), L=4))
-    max1 = patch(_params(), **_max(_request(Interval(0.1, 0.7), L=4)))
+    avg1 = forecast(_params(), **_request(Interval(0.1, 0.7), L=4))
+    max1 = forecast(_params(), **_max(_request(Interval(0.1, 0.7), L=4)))
     perm = [2, 0, 1]
     monkeypatch.setattr(
         patching, "_cell_outputs", _fake_outputs(regs[perm], confs[perm])
     )
-    avg2 = patch(_params(), **_request(Interval(0.1, 0.7), L=4))
-    max2 = patch(_params(), **_max(_request(Interval(0.1, 0.7), L=4)))
+    avg2 = forecast(_params(), **_request(Interval(0.1, 0.7), L=4))
+    max2 = forecast(_params(), **_max(_request(Interval(0.1, 0.7), L=4)))
     assert np.abs(avg1 - avg2).max() < 1e-12
     assert np.array_equal(max1, max2)
 
@@ -155,14 +158,14 @@ def test_confidence_reduction_invariant_to_entry_permutation():
         perm = rng.permutation(flat.shape[1])
         return reg_[0], flat[:, perm].mean(axis=1)
 
-    base_avg = patch(params, **request)
-    base_max = patch(params, **_max(request))
+    base_avg = forecast(params, **request)
+    base_max = forecast(params, **_max(request))
     import intervalcast.patching as mod
     original = mod._cell_outputs
     try:
         mod._cell_outputs = permuted
-        perm_avg = patch(params, **request)
-        perm_max = patch(params, **_max(request))
+        perm_avg = forecast(params, **request)
+        perm_max = forecast(params, **_max(request))
     finally:
         mod._cell_outputs = original
     assert np.abs(base_avg - perm_avg).max() < 1e-12
@@ -188,7 +191,7 @@ def test_forecast_e2e_rejects_other_queries():
     hist = np.zeros((6, 1))
     out = forecast(params, policy, hist, Interval(0.75, 1.0))
     assert out.shape == (3, 1)
-    with pytest.raises(UnsupportedQueryError):
+    with pytest.raises(UnsupportedQueryError, match="train the dstar policy"):
         forecast(params, policy, hist, Interval(0.5, 1.0))
 
 
@@ -208,12 +211,11 @@ def test_forecast_dstar_patches_expected_cells():
     policy = PolicyConfig(
         "dstar", partition=DiscretePartition(8), nu=DecaySpec(math.inf), phi=0.5
     )
-    request = dict(history=np.zeros((6, 1)), query=Interval(0.75, 1.0),
-                   partition=policy.partition)
-    patch(params, **request)
+    request = dict(policy=policy, history=np.zeros((6, 1)), query=Interval(0.75, 1.0))
+    forecast(params, **request)
     assert len(_cells(request)) == 2
     full = {**request, "query": Interval(0.0, 1.0)}
-    patch(params, **full)
+    forecast(params, **full)
     assert len(_cells(full)) == 8
     out = forecast(params, policy, np.zeros((6, 1)), Interval(0.75, 1.0), "max")
     assert out.shape == (3, 1)
@@ -230,12 +232,12 @@ def test_trained_patching_contract_end_to_end():
     )
     params, _, _ = train(policy, "mlp", tr[:400], va[:100], 0, epochs=4, hidden=16)
     for s in te[:20]:
-        request = dict(history=s.history, query=Interval(0.75, 1.0), partition=policy.partition)
-        pred = patch(params, **request)
+        request = dict(policy=policy, history=s.history, query=Interval(0.75, 1.0))
+        pred = forecast(params, **request)
         regs = _cell_predictions(params, request)
         assert len(_cells(request)) == 2
         assert np.all(pred >= regs.min(axis=0)) and np.all(pred <= regs.max(axis=0))
-        pred_max = patch(params, **_max(request))
+        pred_max = forecast(params, **_max(request))
         assert any(np.array_equal(pred_max, r) for r in regs)
 
 
@@ -314,19 +316,19 @@ def test_forecast_rejects_an_unknown_strategy_for_every_policy(policy, query):
 
 def test_patch_rejects_an_unknown_strategy():
     with pytest.raises(UnsupportedQueryError, match="unknown strategy 'median'"):
-        patch(_params(), **_request(Interval(0.3, 0.6), strategy="median"))
+        forecast(_params(), **_request(Interval(0.3, 0.6), strategy="median"))
 
 
 def test_patch_of_a_stack_keeps_one_trace_row_per_history():
     params = _params(3)
     stack = np.random.default_rng(6).uniform(0, 1, (5, 6, 1))
-    pred = patch(params, stack, Interval(0.3, 0.6), DiscretePartition(4))
+    pred = forecast(params, _dstar(4), stack, Interval(0.3, 0.6))
     assert pred.shape == (5, 3, 1)
     for b in range(5):
-        alone = patch(params, stack[b], Interval(0.3, 0.6), DiscretePartition(4))
+        alone = forecast(params, _dstar(4), stack[b], Interval(0.3, 0.6))
         assert np.allclose(pred[b], alone, rtol=0.0, atol=1e-12)
 
 
 def test_patch_rejects_a_history_of_the_wrong_rank():
     with pytest.raises(DimensionError):
-        patch(_params(), np.zeros(6), Interval(0.3, 0.6), DiscretePartition(4))
+        forecast(_params(), _dstar(4), np.zeros(6), Interval(0.3, 0.6))
