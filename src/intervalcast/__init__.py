@@ -38,7 +38,6 @@ from .errors import (
     IntervalcastError,
     NumericError,
     ParseError,
-    RatioUndefinedError,
     SplitError,
     TrainingError,
     UnsupportedQueryError,
@@ -48,7 +47,6 @@ from .evaluation import (
     interval_mae,
     rolled_forecasts,
     rolling_eval,
-    strategy_ratio,
     write_table_csv,
 )
 from .intervals import (

@@ -11,8 +11,9 @@ its dashes, such as ``L`` or ``data-seed``), so a bad value fails as that
 flag would. Flags, like config keys, must be spelled in full: no prefix of
 a flag is accepted. The default output directory comes from
 INTERVALCAST_OUT when set.
-All result files are plain CSV; timestamps appear only in ``train.log`` so
-repeated runs with identical flags are byte-identical.
+All result files are plain CSV, written by :func:`data.write_rows` with one
+cell rule; timestamps appear only in ``train.log`` so repeated runs with
+identical flags are byte-identical.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .data import (
     normalize,
     split_windows,
     write_csv,
+    write_rows,
 )
 from .energy import (
     EnergySimConfig,
@@ -44,7 +46,7 @@ from .energy import (
     sweep_threshold,
 )
 from .errors import ConfigError, IntervalcastError
-from .evaluation import require_baseline, rolling_eval, strategy_ratio, write_table_csv
+from .evaluation import require_baseline, rolling_eval, write_table_csv
 from .intervals import DecaySpec, DiscretePartition, Interval
 from .patching import STRATEGIES, STRATEGY_AVERAGE, STRATEGY_MAXCONF
 from .training import (
@@ -57,8 +59,6 @@ from .training import (
     load_checkpoint,
     save_checkpoint,
     train,
-    write_report_csv,
-    write_summary_csv,
 )
 
 ENV_OUT_DIR = "INTERVALCAST_OUT"
@@ -88,7 +88,7 @@ def _parse_nu(text: str) -> DecaySpec:
         raise ConfigError(f"--nu expects a number or 'inf', got {text!r}") from None
 
 
-def _parse_int_list(text: str, flag: str = "--seeds") -> list[int]:
+def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
         values = [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
@@ -96,6 +96,17 @@ def _parse_int_list(text: str, flag: str = "--seeds") -> list[int]:
     if not values:
         raise ConfigError(f"{flag} names no values")
     return values
+
+
+def _seed_flag(flag: str, many: bool = False):
+    """The argparse type of a seed flag: an integer (a comma list if ``many``), none negative."""
+    def parse(text: str):
+        seeds = _parse_int_list(text, flag) if many else [int(text)]
+        if min(seeds) < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {min(seeds)}")
+        return seeds if many else seeds[0]
+    parse.__name__ = "int"  # argparse names the type when the text is not an integer
+    return parse
 
 
 def _parse_split(text: str) -> SplitSpec:
@@ -250,10 +261,8 @@ def _train(args, policy, train_s, val_s, seed):
 
 
 def cmd_generate(args) -> int:
-    if args.noise_sd < 0:
-        raise ConfigError(f"--noise-sd must be >= 0, got {args.noise_sd}")
-    out = _out_dir(args)
     series = generate_synthds(args.seed, args.noise_sd)
+    out = _out_dir(args)
     path = out / args.name
     write_csv(series, path)
     print(f"wrote {path} ({series.T} x {series.n})")
@@ -272,8 +281,10 @@ def cmd_train(args) -> int:
     train_s, val_s, _, _ = split_windows(series, cfg, args.split)
     params, report, steps = _train(args, policy, train_s, val_s, args.seed)
     save_checkpoint(out / "checkpoint.json", params, steps, policy)
-    write_report_csv(out / "report.csv", report)
-    write_summary_csv(out / "summary.csv", report)
+    write_rows(out / "report.csv", ["epoch", "train_loss", "val_loss", "lr"],
+               [(r.epoch, r.train_loss, r.val_loss, r.lr) for r in report.epochs])
+    write_rows(out / "summary.csv", ["best_epoch", "stopped_early", "epochs_run"],
+               [(report.best_epoch, report.stopped_early, len(report.epochs))])
     log = [
         f"started_unix={started}",
         f"policy={policy.label()} model={args.model} seed={args.seed}",
@@ -315,23 +326,23 @@ def cmd_eval(args) -> int:
         if params.arch.n != series.n:
             raise ConfigError(f"{path}: {params.arch.n} channels, but the series has {series.n}")
     partition = DiscretePartition(args.L)
-    scale = domain_max if args.native else 1.0
     cfg = WindowConfig(first.w, first.tau, args.stride)
     *_, test_series = split_windows(series, cfg, args.split)
-    per_run_lines = ["label,checkpoint,interval_lo,interval_hi,mae,covered,total"]
+    per_run = []
     runs_by_policy: dict[str, list] = {}
     for path, params, policy, label in loaded:
         metrics = rolling_eval(
-            params, policy, test_series, cfg, partition.intervals,
-            strategy=args.strategy, scale=scale,
+            params, policy, test_series, cfg, partition.intervals, strategy=args.strategy
         )
-        for m in metrics:
-            per_run_lines.append(
-                f"{label},{path},{m.interval.lo!r},{m.interval.hi!r},"
-                f"{'' if m.mae is None else repr(m.mae)},{m.covered_entries},{m.total_entries}"
-            )
-        runs_by_policy.setdefault(label, []).append([m.mae for m in metrics])
-    (out / "eval_runs.csv").write_text("\n".join(per_run_lines) + "\n", encoding="utf-8")
+        maes = [m.mae * domain_max if args.native and m.mae is not None else m.mae
+                for m in metrics]
+        for m, mae in zip(metrics, maes):
+            per_run.append((label, path, m.interval.lo, m.interval.hi, mae,
+                            m.covered_entries, m.total_entries))
+        runs_by_policy.setdefault(label, []).append(maes)
+    write_rows(out / "eval_runs.csv",
+               ["label", "checkpoint", "interval_lo", "interval_hi", "mae", "covered", "total"],
+               per_run)
     write_table_csv(out / "table.csv", partition.intervals, runs_by_policy)
     print(f"wrote {out / 'table.csv'} and {out / 'eval_runs.csv'}")
     return 0
@@ -343,8 +354,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--sweep is required (flag or config file)")
     param, values = args.sweep
     eval_cells = DiscretePartition(args.eval_L).intervals
-    lines = ["param,value,seed,strategy,mae_avg"]
-    summary = ["param,value,strategy,mae_avg_mean,gamma"]
+    runs, summary = [], []
     series, _ = _load_series(args)
     cfg = WindowConfig(args.w, args.tau, args.stride)
     train_s, val_s, _, test_series = split_windows(series, cfg, args.split)
@@ -367,15 +377,16 @@ def cmd_sweep(args) -> int:
                 maes = [m.mae for m in metrics if m.mae is not None]
                 avg = float(np.mean(maes))
                 per_strategy[strategy].append(avg)
-                lines.append(f"{param},{value_text},{seed},{strategy},{avg!r}")
+                runs.append((param, value_text, seed, strategy, avg))
         means = {s: float(np.mean(per_strategy[s])) for s in strategies}
-        gamma = ""
-        if len(strategies) == 2:
-            gamma = repr(strategy_ratio(means[STRATEGY_MAXCONF], means[STRATEGY_AVERAGE]))
-        for strategy in strategies:
-            summary.append(f"{param},{value_text},{strategy},{means[strategy]!r},{gamma}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (out / "sweep_summary.csv").write_text("\n".join(summary) + "\n", encoding="utf-8")
+        # gamma < 1 favors the max-confidence strategy; blank without both strategies
+        gamma = None
+        if len(strategies) == 2 and means[STRATEGY_AVERAGE] > 0:
+            gamma = means[STRATEGY_MAXCONF] / means[STRATEGY_AVERAGE]
+        summary += [(param, value_text, s, means[s], gamma) for s in strategies]
+    write_rows(out / "sweep.csv", ["param", "value", "seed", "strategy", "mae_avg"], runs)
+    write_rows(out / "sweep_summary.csv",
+               ["param", "value", "strategy", "mae_avg_mean", "gamma"], summary)
     print(f"wrote {out / 'sweep.csv'} and {out / 'sweep_summary.csv'}")
     return 0
 
@@ -396,25 +407,20 @@ def cmd_energy(args) -> int:
     if args.trace:
         u = _read_utilization(args.trace)
         outcomes, best = sweep_threshold(u, args.thresholds, cfg)
-        lines = ["threshold,r_bar,e_bar,objective,sleep_steps"]
-        for o in outcomes:
-            lines.append(
-                f"{o.threshold!r},{o.r_bar!r},{o.e_bar!r},{o.objective!r},{o.sleep_steps}"
-            )
-        lines.append(f"# best_threshold={best!r}")
-        (out / "thresholds.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = [(o.threshold, o.r_bar, o.e_bar, o.objective, o.sleep_steps) for o in outcomes]
+        write_rows(out / "thresholds.csv",
+                   ["threshold", "r_bar", "e_bar", "objective", "sleep_steps"],
+                   rows + [(f"# best_threshold={best!r}",)])
         print(f"wrote {out / 'thresholds.csv'} (best threshold {best:g})")
         return 0
     u_true = _read_utilization(args.truth)
     u_fc = np.clip(_read_utilization(args.forecast), 0.0, 1.0)
-    lines = ["threshold,sleep_duration_error,mismatch_steps,energy_error_wh"]
+    rows = []
     for th in args.thresholds:
         errs = compare_decisions(u_true, u_fc, float(th), cfg)
-        lines.append(
-            f"{float(th)!r},{errs.sleep_duration_error},{errs.mismatch_steps},"
-            f"{errs.energy_error_wh!r}"
-        )
-    (out / "decision_errors.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.append((th, errs.sleep_duration_error, errs.mismatch_steps, errs.energy_error_wh))
+    write_rows(out / "decision_errors.csv",
+               ["threshold", "sleep_duration_error", "mismatch_steps", "energy_error_wh"], rows)
     print(f"wrote {out / 'decision_errors.csv'}")
     return 0
 
@@ -425,7 +431,8 @@ def cmd_energy(args) -> int:
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", default="synth", help="'synth' or a CSV path")
-    p.add_argument("--data-seed", type=int, default=None, help="seed for the synthetic trace (0)")
+    p.add_argument("--data-seed", type=_seed_flag("--data-seed"), default=None,
+                   help="seed for the synthetic trace (0)")
     p.add_argument("--noise-sd", type=float, default=None, help="synthetic noise level (0.05)")
     p.add_argument("--domain-max", type=float, default=None,
                    help="value-domain maximum for CSV data (1)")
@@ -474,13 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add_command("generate", cmd_generate, "write the synthetic trace as CSV")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag("--seed"), default=0)
     p.add_argument("--noise-sd", type=float, default=0.05)
     p.add_argument("--name", default="synthds.csv", help="output file name")
 
     p = add_command("train", cmd_train, "train one policy with one seed")
     p.add_argument("--policy", choices=POLICY_KINDS, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag("--seed"), default=0)
     _add_data_flags(p)
     _add_model_flags(p)
     _add_train_flags(p)
@@ -497,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("sweep", cmd_sweep, "grid sweep over L, nu, or delta")
     p.add_argument("--sweep", type=_parse_sweep, default=None,
                    help="'L=4,8,16,32', 'nu=0,1,2,5,inf', or 'delta=0:0.4:9'")
-    p.add_argument("--seeds", type=_parse_int_list, default="0",
+    p.add_argument("--seeds", type=_seed_flag("--seeds", many=True), default="0",
                    help="comma-separated training seeds")
     p.add_argument("--eval-L", type=int, default=4, help="evaluation partition size")
     _add_data_flags(p)

@@ -3,6 +3,9 @@
 Also holds the synthetic benchmark trace generator: blocks of a fixed
 sinusoidal input segment followed by one of four level-shifted sinusoidal
 output segments, optionally corrupted by Gaussian noise.
+
+:func:`write_csv` writes a series as :func:`load_csv` reads it, and
+:func:`write_rows` writes every result file with one cell rule.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -220,8 +225,9 @@ def generate_synthds(seed: int, noise_sd: float = SYNTH_NOISE_SD) -> TimeSeries:
     with mean ``noise_sd`` and standard deviation ``noise_sd`` is added
     element-wise to the whole trace. Deterministic for a given seed.
     """
-    if noise_sd < 0:
-        raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
+    # written so that NaN, which fails every comparison, is rejected too
+    if not (0.0 <= noise_sd < math.inf):
+        raise ConfigError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     rng = np.random.default_rng(seed)
     input_seg = synth_input_segment()
     pieces = []
@@ -323,3 +329,18 @@ def write_csv(series: TimeSeries, path: str) -> None:
         writer.writerow(series.channel_names)
         for row in series.values:
             writer.writerow([repr(float(v)) for v in row])
+
+
+def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a result CSV: the ``header`` names, then one line per row of cells.
+
+    The one cell rule: None is empty, a float (numpy's too) is
+    ``repr(float(v))``, anything else ``str(v)``. A cell that holds a comma
+    or a quote is quoted; lines end in ``\\n``.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        # csv writes None as empty and the rest by str, a Python float's str being its repr
+        writer.writerows([float(v) if isinstance(v, np.floating) else v for v in row]
+                         for row in rows)

@@ -43,7 +43,3 @@ class UnsupportedQueryError(IntervalcastError):
 
 class DegenerateConfidenceError(IntervalcastError):
     """No partition cell claims the input (all confidences at the floor)."""
-
-
-class RatioUndefinedError(IntervalcastError):
-    """Strategy MAE ratio requested with a zero denominator."""

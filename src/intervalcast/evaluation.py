@@ -4,22 +4,24 @@ Masking is on the target value: an entry contributes to an interval's MAE
 only when the true value lies in that interval, by the one membership rule
 of :func:`intervals.entries_inside`. Within a partition each entry belongs
 to exactly one cell, so entry-weighted recombination of per-cell MAEs
-reproduces the full-domain MAE exactly. :func:`write_table_csv` is the one
-place where per-run MAEs reduce to the table: a cell averages a policy's
-runs on one interval, and the averaged row averages its cells.
+reproduces the full-domain MAE exactly. MAEs are in normalized units; a
+caller that wants the data's units multiplies by its domain maximum.
+:func:`write_table_csv` is the one place where per-run MAEs reduce to the
+table: a cell averages a policy's runs on one interval, and the averaged
+row averages its cells. It writes through :func:`data.write_rows`, like
+every result file.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Sequence
 
 import numpy as np
 
-from .data import TimeSeries, WindowConfig, make_windows
-from .errors import ConfigError, DimensionError, RatioUndefinedError
+from .data import TimeSeries, WindowConfig, make_windows, write_rows
+from .errors import ConfigError, DimensionError
 from .intervals import Interval, entries_inside
 from .models import ModelParams
 from .patching import STRATEGY_AVERAGE, forecast_each
@@ -43,17 +45,8 @@ def interval_mae(
     preds: np.ndarray,
     targets: np.ndarray,
     interval: Interval,
-    scale: float = 1.0,
 ) -> IntervalMetric:
-    """MAE over exactly the entries whose target value lies in the interval.
-
-    ``scale`` converts normalized errors to native units (pass the domain
-    maximum); the default reports normalized units. It must be positive and
-    finite.
-    """
-    # written so that NaN, which fails every comparison, is rejected too
-    if not (0.0 < scale < math.inf):
-        raise ConfigError(f"scale (the domain maximum) must be positive and finite, got {scale}")
+    """MAE over exactly the entries whose target value lies in the interval."""
     p = np.asarray(preds, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if p.shape != t.shape:
@@ -62,20 +55,8 @@ def interval_mae(
     covered = int(mask.sum())
     if covered == 0:
         return IntervalMetric(interval, None, 0, t.size)
-    mae = float(np.where(mask, np.abs(p - t), 0.0).sum() / covered) * scale
+    mae = float(np.where(mask, np.abs(p - t), 0.0).sum() / covered)
     return IntervalMetric(interval, mae, covered, t.size)
-
-
-def strategy_ratio(mae_inf: float, mae_one: float) -> float:
-    """MAE of the max-confidence strategy over MAE of the averaging strategy.
-
-    Values below 1 favor the max-confidence strategy.
-    """
-    if mae_one <= 0:
-        raise RatioUndefinedError(
-            f"averaging-strategy MAE must be positive, got {mae_one}"
-        )
-    return mae_inf / mae_one
 
 
 def rolled_forecasts(
@@ -105,7 +86,6 @@ def rolling_eval(
     cfg: WindowConfig,
     intervals: Sequence[Interval],
     strategy: str = STRATEGY_AVERAGE,
-    scale: float = 1.0,
 ) -> list[IntervalMetric]:
     """Non-overlapping rolling-origin evaluation over a normalized test series.
 
@@ -113,7 +93,7 @@ def rolling_eval(
     across rolls and averaged by :func:`interval_mae`.
     """
     preds, targets = rolled_forecasts(params, policy, series, cfg, intervals, strategy)
-    return [interval_mae(p, targets, iv, scale) for p, iv in zip(preds, intervals)]
+    return [interval_mae(p, targets, iv) for p, iv in zip(preds, intervals)]
 
 
 def write_table_csv(
@@ -141,19 +121,18 @@ def write_table_csv(
         cells = [_mean_or_none(maes) for maes in zip(*runs)]
         columns[label] = cells + [_mean_or_none(cells)]
     names = [f"{iv.lo:g}:{iv.hi:g}" for iv in intervals] + ["average"]
-    lines = ["interval," + ",".join(columns) + ",best_policy,improvement_pct"]
+    rows = []
     for i, name in enumerate(names):
         maes = {label: column[i] for label, column in columns.items()}
         present = {k: v for k, v in maes.items() if v is not None}
-        best = min(present, key=present.get) if present else ""
+        best = min(present, key=present.get) if present else None
         improvement = None
         base = maes[BASELINE]
         rivals = [v for k, v in present.items() if k != BASELINE]
         if base is not None and base > 0 and rivals:
             improvement = max(0.0, (base - min(rivals)) / base) * 100.0
-        row = [name, *(_csv_cell(v) for v in maes.values()), best, _csv_cell(improvement)]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.append([name, *maes.values(), best, improvement])
+    write_rows(path, ["interval", *columns, "best_policy", "improvement_pct"], rows)
 
 
 def require_baseline(labels: Collection[str]) -> None:
@@ -165,7 +144,3 @@ def require_baseline(labels: Collection[str]) -> None:
 def _mean_or_none(values: Sequence[float | None]) -> float | None:
     present = [v for v in values if v is not None]
     return float(np.mean(present)) if present else None
-
-
-def _csv_cell(value: float | None) -> str:
-    return "" if value is None else repr(value)

@@ -531,20 +531,3 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int, PolicyConfig]:
         return params, steps, _policy_from_doc(doc["policy"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint: {type(exc).__name__}: {exc}") from exc
-
-
-def write_report_csv(path: str | Path, report: TrainReport) -> None:
-    """One record per epoch: epoch, train_loss, val_loss, lr."""
-    lines = ["epoch,train_loss,val_loss,lr"]
-    for r in report.epochs:
-        lines.append(f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.lr!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_summary_csv(path: str | Path, report: TrainReport) -> None:
-    """Early-stopping outcome; wall-clock stays in the log file only."""
-    lines = [
-        "best_epoch,stopped_early,epochs_run",
-        f"{report.best_epoch},{report.stopped_early},{len(report.epochs)}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

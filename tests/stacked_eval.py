@@ -18,7 +18,7 @@ from intervalcast.intervals import entries_inside
 from intervalcast.patching import forecast
 
 
-def stacked_rolling_eval(params, policy, series, cfg, intervals, strategy="avg", scale=1.0):
+def stacked_rolling_eval(params, policy, series, cfg, intervals, strategy="avg"):
     rolls = make_windows(series, WindowConfig(cfg.w, cfg.tau, cfg.tau))
     targets = rolls.target
     bounds = np.array([(iv.lo, iv.hi) for iv in intervals]).reshape(-1, 2, 1, 1, 1)
@@ -31,7 +31,7 @@ def stacked_rolling_eval(params, policy, series, cfg, intervals, strategy="avg",
     return [
         IntervalMetric(
             iv,
-            float(err_sums[j] / covered[j]) * scale if covered[j] else None,
+            float(err_sums[j] / covered[j]) if covered[j] else None,
             int(covered[j]),
             targets.size,
         )

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -18,6 +19,15 @@ FAST_CSV_TRAIN = FAST_MODEL + ["--seed", "0"]
 def run(args, capsys=None):
     code = main(args)
     return code
+
+
+def _rows(path) -> list[list[str]]:
+    """A result CSV's rows by ``csv.reader``; all as wide as the header, a ``#`` footer excepted."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    body = rows[:-1] if rows[-1][0].startswith("#") else rows
+    assert {len(row) for row in body} == {len(rows[0])}, path
+    return rows
 
 
 def test_generate_deterministic(tmp_path):
@@ -44,15 +54,44 @@ def test_generate_rejects_negative_noise(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("noise_sd", ["nan", "inf"])
+def test_non_finite_noise_is_rejected(tmp_path, capsys, noise_sd):
+    # NaN used to give a noise-free trace with exit 0, and inf a non-finite one
+    for argv in (["generate"], ["train", "--policy", "b"] + FAST_MODEL):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--noise-sd", noise_sd, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: noise_sd must be finite and >= 0, got {noise_sd}\n"
+        )
+        assert not (out / "synthds.csv").exists() and not (out / "checkpoint.json").exists()
+    assert not (tmp_path / "generate").exists()
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (["generate", "--seed", "-1"], "--seed", -1),
+    (["train", "--policy", "b", "--seed", "-1"] + FAST_SWEEP, "--seed", -1),
+    (["train", "--policy", "b", "--data-seed", "-2"] + FAST_SWEEP, "--data-seed", -2),
+    (["sweep", "--sweep", "nu=1", "--seeds", "0,-1"] + FAST_SWEEP, "--seeds", -1),
+], ids=["generate", "train", "data-seed", "sweep"])
+def test_negative_seed_fails_naming_its_flag(tmp_path, capsys, argv, flag, value):
+    # rejected as the flag is parsed: sweep used to train seed 0 first
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {flag} must be >= 0, got {value}\n"
+    assert not out.exists()
+
+
 def test_train_writes_artifacts(tmp_path):
     out = tmp_path / "run"
     code = main(["train", "--policy", "b", "--out", str(out)] + FAST_TRAIN)
     assert code == 0
     assert (out / "checkpoint.json").exists()
-    report = (out / "report.csv").read_text().splitlines()
-    assert report[0] == "epoch,train_loss,val_loss,lr"
+    report = _rows(out / "report.csv")
+    assert report[0] == ["epoch", "train_loss", "val_loss", "lr"]
     assert len(report) == 4  # header + 3 epochs
-    assert (out / "summary.csv").exists()
+    summary = _rows(out / "summary.csv")
+    assert summary[0] == ["best_epoch", "stopped_early", "epochs_run"]
+    assert summary[1][1:] == ["False", "3"]
     assert (out / "train.log").exists()
 
 
@@ -123,15 +162,34 @@ def test_eval_builds_table(tmp_path):
         "--L", "4", "--noise-sd", "0", "--out", str(eval_dir),
     ])
     assert code == 0
-    lines = (eval_dir / "table.csv").read_text().strip().splitlines()
-    assert lines[0] == "interval,B,D4,best_policy,improvement_pct"
+    lines = _rows(eval_dir / "table.csv")
+    assert lines[0] == ["interval", "B", "D4", "best_policy", "improvement_pct"]
     assert len(lines) == 6  # header + 4 cells + averaged row
-    runs = (eval_dir / "eval_runs.csv").read_text().splitlines()
-    assert runs[0].startswith("label,checkpoint,")
-    assert runs[0].split(",")[4] == "mae"
+    runs = _rows(eval_dir / "eval_runs.csv")
+    assert runs[0][:2] == ["label", "checkpoint"]
+    assert runs[0][4] == "mae"
     for row in runs[1:]:
-        mae = row.split(",")[4]
+        mae = row[4]
         assert mae == "" or float(mae) >= 0.0, row  # a plain number, not np.float64(...)
+
+
+def test_eval_quotes_a_label_that_holds_a_comma(tmp_path):
+    # the e2e label E2E[0,1] holds a comma; unquoted, it split the label
+    # column and left the table's header wider than its rows
+    b_dir, e2e_dir, eval_dir = tmp_path / "b", tmp_path / "e2e", tmp_path / "eval"
+    assert main(["train", "--policy", "b", "--out", str(b_dir)] + FAST_TRAIN) == 0
+    assert main(
+        ["train", "--policy", "e2e", "--interval", "0,1", "--out", str(e2e_dir)] + FAST_TRAIN
+    ) == 0
+    assert main([
+        "eval", "--checkpoints", f"{b_dir}/checkpoint.json,{e2e_dir}/checkpoint.json",
+        "--L", "1", "--noise-sd", "0", "--out", str(eval_dir),
+    ]) == 0
+    table = _rows(eval_dir / "table.csv")
+    assert table[0] == ["interval", "B", "E2E[0,1]", "best_policy", "improvement_pct"]
+    assert [row[0] for row in table[1:]] == ["0:1", "average"]
+    runs = _rows(eval_dir / "eval_runs.csv")
+    assert [row[0] for row in runs[1:]] == ["B", "E2E[0,1]"]
 
 
 @pytest.mark.parametrize(
@@ -244,10 +302,27 @@ def test_sweep_delta_axis(tmp_path):
         "--out", str(out),
     ] + FAST_SWEEP)
     assert code == 0
-    lines = (out / "sweep.csv").read_text().strip().splitlines()
-    assert lines[0] == "param,value,seed,strategy,mae_avg"
+    lines = _rows(out / "sweep.csv")
+    assert lines[0] == ["param", "value", "seed", "strategy", "mae_avg"]
     assert len(lines) == 4  # 3 delta values, one seed, avg strategy only
-    assert (out / "sweep_summary.csv").exists()
+    summary = _rows(out / "sweep_summary.csv")
+    assert summary[0] == ["param", "value", "strategy", "mae_avg_mean", "gamma"]
+    assert len(summary) == 4
+
+
+def test_sweep_gamma_is_max_over_avg_mean(tmp_path):
+    # gamma = mae_avg_mean(max) / mae_avg_mean(avg) on both rows of a dstar
+    # value; a c sweep has the avg strategy only, so its gamma is blank
+    assert main(["sweep", "--sweep", "nu=1", "--seeds", "0,1", "--out", str(tmp_path / "nu")]
+                + FAST_SWEEP) == 0
+    header, *rows = _rows(tmp_path / "nu" / "sweep_summary.csv")
+    means = {row[2]: float(row[3]) for row in rows}
+    assert sorted(means) == ["avg", "max"]
+    assert [float(row[4]) for row in rows] == [means["max"] / means["avg"]] * 2
+    assert main(["sweep", "--sweep", "delta=0.2:0.2:1", "--seeds", "0",
+                 "--out", str(tmp_path / "delta")] + FAST_SWEEP) == 0
+    header, *rows = _rows(tmp_path / "delta" / "sweep_summary.csv")
+    assert [(row[2], row[4]) for row in rows] == [("avg", "")]
 
 
 def test_sweep_delta_values_read_as_typed(tmp_path):
@@ -339,11 +414,11 @@ def test_energy_threshold_study(tmp_path):
     )
     out = tmp_path / "energy"
     assert main(["energy", "--trace", str(trace), "--out", str(out)]) == 0
-    lines = (out / "thresholds.csv").read_text().strip().splitlines()
-    assert lines[0] == "threshold,r_bar,e_bar,objective,sleep_steps"
+    lines = _rows(out / "thresholds.csv")
+    assert lines[0] == ["threshold", "r_bar", "e_bar", "objective", "sleep_steps"]
     assert len(lines) == 28  # header + 26 thresholds + best-threshold footer
-    assert lines[-1].startswith("# best_threshold=")
-    first = lines[1].split(",")
+    assert len(lines[-1]) == 1 and lines[-1][0].startswith("# best_threshold=")
+    first = lines[1]
     assert float(first[0]) == 0.0
     assert float(first[2]) == pytest.approx(1266.0)  # all-on at threshold 0
 
@@ -357,9 +432,9 @@ def test_energy_compare_mode(tmp_path):
     assert main([
         "energy", "--truth", str(truth), "--forecast", str(fc), "--out", str(out),
     ]) == 0
-    lines = (out / "decision_errors.csv").read_text().strip().splitlines()
-    assert lines[0] == "threshold,sleep_duration_error,mismatch_steps,energy_error_wh"
-    assert all(line.split(",")[1] == "0" for line in lines[1:])
+    lines = _rows(out / "decision_errors.csv")
+    assert lines[0] == ["threshold", "sleep_duration_error", "mismatch_steps", "energy_error_wh"]
+    assert all(line[1] == "0" for line in lines[1:])
 
 
 def test_energy_reads_only_the_first_column(tmp_path):

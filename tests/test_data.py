@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from intervalcast.data import (
     SYNTH_SEGMENT,
     synth_hypothesis,
     synth_input_segment,
+    write_rows,
 )
 from intervalcast.errors import (
     ConfigError,
@@ -253,6 +256,14 @@ def test_synth_rejects_negative_noise():
         generate_synthds(0, -1.0)
 
 
+@pytest.mark.parametrize("noise_sd", [float("nan"), float("inf")])
+def test_synth_rejects_non_finite_noise(noise_sd):
+    # NaN used to pass the >= 0 check and skip the noise; inf gave an inf trace
+    with pytest.raises(ConfigError) as err:
+        generate_synthds(0, noise_sd)
+    assert str(err.value) == f"noise_sd must be finite and >= 0, got {noise_sd}"
+
+
 # ---------------------------------------------------------------- CSV I/O
 
 
@@ -306,6 +317,26 @@ def test_csv_round_trip(tmp_path):
     back = load_csv(str(path), channel_limit=1, domain_max=1.0)
     assert np.array_equal(back.values, series.values)
     assert back.channel_names == series.channel_names
+
+
+def test_write_rows_cell_rule(tmp_path):
+    # one rule for every cell: a numpy float as a plain repr, None empty,
+    # bools and ints by str; a comma-holding label is quoted
+    path = tmp_path / "rows.csv"
+    write_rows(path, ["label", "mae", "gap", "flag", "count"], [
+        ("E2E[0,1]", np.float64(0.1) + np.float64(0.2), None, True, np.int64(7)),
+        ("B", np.float32(0.1), 1 / 3, False, 3),
+    ])
+    data = path.read_bytes()
+    assert data == (
+        b"label,mae,gap,flag,count\n"
+        b'"E2E[0,1]",0.30000000000000004,,True,7\n'
+        b"B,0.10000000149011612,0.3333333333333333,False,3\n"
+    )
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][0] == "E2E[0,1]"
+    assert {len(row) for row in rows} == {5}
 
 
 def test_normalize_clips_negative_values():

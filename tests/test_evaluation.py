@@ -13,14 +13,12 @@ from intervalcast import (
     make_windows,
     rolled_forecasts,
     rolling_eval,
-    strategy_ratio,
     write_table_csv,
 )
 from intervalcast.errors import (
     ConfigError,
     DataError,
     DegenerateConfidenceError,
-    RatioUndefinedError,
     UnsupportedQueryError,
 )
 from intervalcast.intervals import entries_inside
@@ -58,22 +56,6 @@ def test_interval_mae_empty_signal():
     m = interval_mae(targets, targets, Interval(0.0, 0.25))
     assert m.mae is None
     assert m.covered_entries == 0
-
-
-def test_interval_mae_scale():
-    targets = np.array([[0.2]])
-    preds = np.array([[0.4]])
-    m = interval_mae(preds, targets, Interval(0.0, 1.0), scale=500.0)
-    assert m.mae == pytest.approx(100.0)
-
-
-@pytest.mark.parametrize("scale", [0.0, float("nan"), float("inf")])
-def test_interval_mae_rejects_bad_scale(scale):
-    # eval --native passes --domain-max here; on synthetic data nothing else
-    # reads it, and a NaN gave an all-NaN table
-    with pytest.raises(ConfigError) as err:
-        interval_mae(np.array([[0.4]]), np.array([[0.2]]), Interval(0.0, 1.0), scale=scale)
-    assert f"must be positive and finite, got {scale}" in str(err.value)
 
 
 def test_membership_upper_exclusive_except_last():
@@ -182,14 +164,6 @@ def test_table_interval_no_policy_covers(tmp_path):
     }
 
 
-def test_strategy_ratio():
-    assert strategy_ratio(1.0, 1.0) == 1.0
-    assert strategy_ratio(0.5, 1.0) == 0.5
-    assert strategy_ratio(2.0, 1.0) == 2.0
-    with pytest.raises(RatioUndefinedError):
-        strategy_ratio(1.0, 0.0)
-
-
 # ---------------------------------------------------------------- rolling
 
 
@@ -281,8 +255,8 @@ def test_rolling_eval_matches_per_origin_reference(kind, name, strategy):
     params = init(kind, (8, 4, 2), 1, hidden=5, kernel=3, use_covariate=policy.uses_covariate)
     series = _two_channel_series(8 + 4 * 9)
     cfg = WindowConfig(8, 4)
-    got = rolling_eval(params, policy, series, cfg, queries, strategy=strategy, scale=2.0)
-    ref = per_origin_rolling_eval(params, policy, series, cfg, queries, strategy=strategy, scale=2.0)
+    got = rolling_eval(params, policy, series, cfg, queries, strategy=strategy)
+    ref = per_origin_rolling_eval(params, policy, series, cfg, queries, strategy=strategy)
     assert [m.covered_entries for m in got] == [m.covered_entries for m in ref]
     assert [m.total_entries for m in got] == [m.total_entries for m in ref]
     for g, r in zip(got, ref):
@@ -301,8 +275,8 @@ def test_rolling_eval_equals_stacked_kernel_bitwise(kind, name, strategy):
     rng = np.random.default_rng(6)
     series = TimeSeries(rng.uniform(0, 0.6, (8 + 4 * 60, 2)), ("u", "v"), 1.0)
     cfg = WindowConfig(8, 4)
-    got = rolling_eval(params, policy, series, cfg, queries, strategy=strategy, scale=2.5)
-    ref = stacked_rolling_eval(params, policy, series, cfg, queries, strategy=strategy, scale=2.5)
+    got = rolling_eval(params, policy, series, cfg, queries, strategy=strategy)
+    ref = stacked_rolling_eval(params, policy, series, cfg, queries, strategy=strategy)
     assert got == ref  # every field of every IntervalMetric, floats by ==
     assert got[3].interval == Interval(0.75, 1.0) and got[3].mae is None
 
