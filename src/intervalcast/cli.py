@@ -274,11 +274,11 @@ def cmd_train(args) -> int:
         raise ConfigError("--policy is required (flag or config file)")
     policy = _policy_from_args(args, args.policy)
     _warn_ignored_flags(args, args.policy)
-    out = _out_dir(args)
     started = time.time()
     series, _ = _load_series(args)
     cfg = WindowConfig(args.w, args.tau, args.stride)
     train_s, val_s, _, _ = split_windows(series, cfg, args.split)
+    out = _out_dir(args)
     params, report, steps = _train(args, policy, train_s, val_s, args.seed)
     save_checkpoint(out / "checkpoint.json", params, steps, policy)
     write_rows(out / "report.csv", ["epoch", "train_loss", "val_loss", "lr"],
@@ -302,7 +302,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = _out_dir(args)
     if not args.checkpoints:
         raise ConfigError("--checkpoints must name at least one file")
     # Every checkpoint is read and checked before any evaluation runs.
@@ -328,6 +327,7 @@ def cmd_eval(args) -> int:
     partition = DiscretePartition(args.L)
     cfg = WindowConfig(first.w, first.tau, args.stride)
     *_, test_series = split_windows(series, cfg, args.split)
+    out = _out_dir(args)
     per_run = []
     runs_by_policy: dict[str, list] = {}
     for path, params, policy, label in loaded:
@@ -349,7 +349,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    out = _out_dir(args)
     if args.sweep is None:
         raise ConfigError("--sweep is required (flag or config file)")
     param, values = args.sweep
@@ -364,6 +363,7 @@ def cmd_sweep(args) -> int:
     _warn_ignored_flags(args, kind)
     if getattr(args, param) is not None:
         print(f"warning: --{param} is ignored: --sweep sets it", file=sys.stderr)
+    out = _out_dir(args)
     for value, policy in zip(values, policies):
         strategies = STRATEGIES if policy.kind == "dstar" else (STRATEGY_AVERAGE,)
         per_strategy: dict[str, list[float]] = {s: [] for s in strategies}

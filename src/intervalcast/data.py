@@ -230,14 +230,12 @@ def generate_synthds(seed: int, noise_sd: float = SYNTH_NOISE_SD) -> TimeSeries:
         raise ConfigError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     rng = np.random.default_rng(seed)
     input_seg = synth_input_segment()
-    pieces = []
-    total = 0
-    while total < SYNTH_LENGTH:
-        k = int(rng.integers(0, SYNTH_CLASSES))
-        block = np.concatenate([input_seg, synth_hypothesis(k)])
-        pieces.append(block)
-        total += block.size
-    trace = np.concatenate(pieces)[:SYNTH_LENGTH]
+    blocks = np.stack([np.concatenate([input_seg, synth_hypothesis(k)])
+                       for k in range(SYNTH_CLASSES)])
+    count = -(-SYNTH_LENGTH // blocks.shape[1])
+    # one scalar draw per block, in order, so the random stream stays as it was
+    ks = [int(rng.integers(0, SYNTH_CLASSES)) for _ in range(count)]
+    trace = blocks[ks].ravel()[:SYNTH_LENGTH]
     if noise_sd > 0:
         trace = trace + rng.normal(noise_sd, noise_sd, size=trace.size)
     return TimeSeries(trace.reshape(-1, 1), ("synth",), 1.0)

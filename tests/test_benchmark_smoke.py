@@ -80,5 +80,5 @@ def test_benchmark_traced_run_sees_checkpoint_hooks(tmp_path):
     )
     assert made.returncode == 0, made.stderr
     doc = json.loads(checkpoint.read_text())
-    assert doc["version"] == 2 and doc["optimizer"].keys() == {"step"}
+    assert doc["version"] == 3 and doc["optimizer"].keys() == {"step"}
     assert metrics["training.checkpoint_bytes"]["value"] == checkpoint.stat().st_size

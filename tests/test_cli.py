@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import os
@@ -14,11 +15,6 @@ FAST_SWEEP = FAST_MODEL + ["--noise-sd", "0"]
 FAST_TRAIN = FAST_SWEEP + ["--seed", "0"]
 # CSV data takes no --noise-sd: it would only print an ignored-flag warning
 FAST_CSV_TRAIN = FAST_MODEL + ["--seed", "0"]
-
-
-def run(args, capsys=None):
-    code = main(args)
-    return code
 
 
 def _rows(path) -> list[list[str]]:
@@ -56,15 +52,16 @@ def test_generate_rejects_negative_noise(tmp_path, capsys):
 
 @pytest.mark.parametrize("noise_sd", ["nan", "inf"])
 def test_non_finite_noise_is_rejected(tmp_path, capsys, noise_sd):
-    # NaN used to give a noise-free trace with exit 0, and inf a non-finite one
-    for argv in (["generate"], ["train", "--policy", "b"] + FAST_MODEL):
+    # NaN used to give a noise-free trace with exit 0, and inf a non-finite one;
+    # the data is checked before --out is made, so no empty directory is left
+    for argv in (["generate"], ["train", "--policy", "b"] + FAST_MODEL,
+                 ["sweep", "--sweep", "nu=1", "--seeds", "0"] + FAST_MODEL):
         out = tmp_path / argv[0]
         assert main(argv + ["--noise-sd", noise_sd, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"error: ConfigError: noise_sd must be finite and >= 0, got {noise_sd}\n"
         )
-        assert not (out / "synthds.csv").exists() and not (out / "checkpoint.json").exists()
-    assert not (tmp_path / "generate").exists()
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,flag,value", [
@@ -206,8 +203,10 @@ def test_eval_malformed_checkpoint_names_file(tmp_path, capsys, damage):
         path.write_text("[]")
     elif damage == "non_finite_weight":
         doc = json.loads(text)
-        doc["theta"][3] = float("nan")
-        path.write_text(json.dumps(doc))  # json writes the bare token NaN
+        theta = np.frombuffer(base64.b64decode(doc["theta"]), "<f8").copy()
+        theta[3] = float("nan")
+        doc["theta"] = base64.b64encode(theta.tobytes()).decode()
+        path.write_text(json.dumps(doc))
     else:
         doc = json.loads(text)
         del doc["arch"]["kind"]
@@ -291,8 +290,8 @@ def test_eval_requires_baseline(tmp_path, capsys):
     assert err == (
         "error: ConfigError: the comparison table needs runs of the baseline policy 'B'\n"
     )
-    # the check runs before any evaluation, so nothing is written
-    assert not (tmp_path / "eval" / "eval_runs.csv").exists()
+    # the check runs before any evaluation and before --out is made
+    assert not (tmp_path / "eval").exists()
 
 
 def test_sweep_delta_axis(tmp_path):

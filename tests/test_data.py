@@ -29,6 +29,7 @@ from intervalcast.errors import (
     ParseError,
     SplitError,
 )
+from per_block_synth import per_block_synthds
 
 
 def _series(values, domain_max=1.0):
@@ -210,6 +211,14 @@ def test_synth_length_and_shape():
     series = generate_synthds(0)
     assert series.T == 3100
     assert series.n == 1
+
+
+@pytest.mark.parametrize("noise_sd", [0.0, 0.05])
+def test_synth_matches_per_block_reference(noise_sd):
+    for seed in range(8):
+        got = generate_synthds(seed, noise_sd).values
+        expected = per_block_synthds(seed, noise_sd)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), seed
 
 
 def test_synth_deterministic():

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import tracemalloc
@@ -23,7 +24,14 @@ from intervalcast import (
     save_checkpoint,
     train,
 )
-from intervalcast.errors import ConfigError, DataError, DimensionError, NumericError, TrainingError
+from intervalcast.errors import (
+    ConfigError,
+    DataError,
+    DimensionError,
+    FormatError,
+    NumericError,
+    TrainingError,
+)
 from intervalcast.intervals import INDICATOR, entries_inside, target_weights
 from intervalcast.models import BatchDraw, backward, init, sample_losses
 from concat_forward import concat_forward
@@ -441,7 +449,9 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     path = tmp_path / "ck.json"
     save_checkpoint(path, params, steps, policy)
     doc = json.loads(path.read_text())
-    assert doc["version"] == 2
+    assert doc["version"] == 3
+    assert list(doc) == ["version", "arch", "theta", "optimizer", "policy"]
+    assert base64.b64decode(doc["theta"]) == params.theta.astype("<f8").tobytes()
     assert doc["optimizer"] == {"step": steps}  # no AdamW moments
     loaded_params, loaded_steps, loaded_policy = load_checkpoint(path)
     assert np.array_equal(loaded_params.theta, params.theta)
@@ -483,11 +493,59 @@ def test_checkpoint_unknown_version_names_file(tmp_path):
     path = tmp_path / "ck.json"
     save_checkpoint(path, params, 0, PolicyConfig("b"))
     doc = json.loads(path.read_text())
-    doc["version"] = 3
+    doc["version"] = 4
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError) as err:
         load_checkpoint(path)
-    assert str(path) in str(err.value) and "version 3" in str(err.value)
+    assert str(path) in str(err.value) and "version 4" in str(err.value)
+
+
+def _v2_doc(theta: list) -> dict:
+    """A version-2 checkpoint of a (4, 2, 1) mlp with 3 hidden units, weights as floats."""
+    return {
+        "version": 2,
+        "arch": {"kind": "mlp", "w": 4, "tau": 2, "n": 1, "hidden": 3, "kernel": 25,
+                 "use_covariate": True},
+        "theta": theta,
+        "optimizer": {"step": 7},
+        "policy": {"kind": "b", "task_interval": None, "delta": None, "L": None,
+                   "nu": None, "phi": None, "weight_decay": 0.0},
+    }
+
+
+def test_checkpoint_version_2_still_loads_bit_exact(tmp_path):
+    params = init("mlp", (4, 2, 1), 3, hidden=3)
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps(_v2_doc(params.theta.tolist())))
+    loaded_params, steps, policy = load_checkpoint(path)
+    assert loaded_params.theta.tobytes() == params.theta.tobytes()
+    assert loaded_params.theta.flags.writeable
+    assert loaded_params.arch == params.arch
+    assert steps == 7 and policy == PolicyConfig("b")
+
+
+def _v3_theta(values: np.ndarray) -> str:
+    return base64.b64encode(values.astype("<f8").tobytes()).decode()
+
+
+@pytest.mark.parametrize("version,theta", [
+    (2, lambda t: t[:-1].tolist()),
+    (2, lambda t: t.tolist() + [0.5]),
+    (3, lambda t: _v3_theta(t[:-1])),
+    (3, lambda t: _v3_theta(t)[:-8] + "AAAA"),
+    (3, lambda t: t.tolist()),
+    (3, lambda t: _v3_theta(t)[:-1] + "!"),
+], ids=["v2_short", "v2_long", "v3_short", "v3_partial_weight", "v3_not_a_string",
+        "v3_invalid_base64"])
+def test_checkpoint_with_bad_weights_names_file(tmp_path, version, theta):
+    # a weight count that differs from the architecture's used to raise a
+    # bare DimensionError that named no file
+    params = init("mlp", (4, 2, 1), 3, hidden=3)
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps({**_v2_doc(theta(params.theta)), "version": version}))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: malformed checkpoint")
 
 
 def test_checkpoint_preserves_infinite_nu(tmp_path):
