@@ -26,7 +26,6 @@ from .energy import (
     SimOutcome,
     compare_decisions,
     default_threshold_grid,
-    simulate,
     sweep_threshold,
 )
 from .errors import (

@@ -6,9 +6,11 @@ simulator books realized throughput and energy per step, keeps only their
 means and the sleep count, and scores a threshold by the trade-off
 objective (1 - lambda) * mean_throughput - lambda * mean_energy.
 
-A threshold sweep runs every threshold of its ascending grid in one pass
-over one running per-step state; each figure equals, bit for bit, what a
-separate :func:`simulate` call at that threshold returns.
+A threshold sweep runs every threshold of its ascending grid over one
+running per-step state. Each step below the grid's top is placed once, at the
+first threshold where it sleeps, so each threshold rewrites only the steps
+that fall asleep there; each figure still equals, bit for bit, a separate
+whole-trace simulation at that threshold.
 """
 
 from __future__ import annotations
@@ -93,44 +95,6 @@ def _check_thresholds(thresholds) -> np.ndarray:
     return th
 
 
-def _simulate_grid(u: np.ndarray, th: np.ndarray, cfg: EnergySimConfig) -> list[SimOutcome]:
-    """One outcome per threshold of a checked ascending grid over a checked trace.
-
-    The per-step throughput and energy start all-on; at each threshold only
-    the steps with previous threshold <= u < threshold are overwritten with
-    their sleeping values. Every element then equals what one threshold's
-    ``np.where`` over the whole trace would give, so the means are bitwise
-    those of a separate simulation per threshold.
-    """
-    throughput = np.minimum(u * cfg.c_cap, cfg.c_cap)
-    energy = np.full(u.size, cfg.e_on, dtype=np.float64)
-    below = np.flatnonzero(u < th[-1])  # the steps that sleep at some threshold
-    u_below = u[below]
-    asleep_throughput = cfg.alpha * np.minimum(u_below * cfg.c_cap, cfg.c_cov)
-    outcomes, sleep_steps, previous = [], 0, 0.0
-    for t in th:
-        band = (u_below >= previous) & (u_below < t)
-        falling_asleep = below[band]
-        throughput[falling_asleep] = asleep_throughput[band]
-        energy[falling_asleep] = cfg.e_off
-        sleep_steps += falling_asleep.size
-        r_bar = float(throughput.mean())
-        e_bar = float(energy.mean())
-        objective = (1.0 - cfg.lam) * r_bar - cfg.lam * e_bar
-        outcomes.append(SimOutcome(float(t), r_bar, e_bar, objective, sleep_steps))
-        previous = t
-    return outcomes
-
-
-def simulate(u: np.ndarray, u_th: float, cfg: EnergySimConfig) -> SimOutcome:
-    """Run the threshold policy over the trace and average throughput and energy.
-
-    The per-step load, throughput and energy are temporaries of this call;
-    only their means and the sleep count are returned.
-    """
-    return _simulate_grid(_check_utilization(u), _check_thresholds(u_th), cfg)[0]
-
-
 def default_threshold_grid() -> np.ndarray:
     """26 evenly spaced thresholds over [0, 0.025]."""
     return np.linspace(0.0, THRESHOLD_GRID_MAX, THRESHOLD_GRID_POINTS)
@@ -141,11 +105,46 @@ def sweep_threshold(
 ) -> tuple[list[SimOutcome], float]:
     """Every threshold's outcome from one pass, plus the objective-maximizing threshold.
 
-    The trace and the ascending grid are checked once, and the outcomes
-    equal per-threshold :func:`simulate` calls bit for bit. Ties on the
-    objective resolve to the lowest threshold.
+    The trace and the ascending grid are checked once. The per-step
+    throughput and energy start all-on. A step with utilization u first
+    sleeps at the threshold whose index is the count of grid values <= u;
+    the steps below the grid's top are stably sorted by that index, so each
+    threshold overwrites only its own contiguous run of them with their
+    sleeping values. Every element then equals what that threshold's
+    ``np.where`` over the whole trace would give, so each outcome equals a
+    separate whole-trace simulation bit for bit. Ties on the objective
+    resolve to the lowest threshold.
     """
-    outcomes = _simulate_grid(_check_utilization(u), _check_thresholds(thresholds), cfg)
+    u = _check_utilization(u)
+    th = _check_thresholds(thresholds)
+    throughput = u * cfg.c_cap
+    np.minimum(throughput, cfg.c_cap, out=throughput)
+    energy = np.full(u.size, cfg.e_on, dtype=np.float64)
+    steps = np.flatnonzero(u < th[-1])  # the steps that sleep at some threshold
+    u_below = u[steps]
+    # the smallest unsigned dtype that holds the grid size, so the stable
+    # sort below is numpy's radix sort
+    first_asleep = np.zeros(steps.size, dtype=np.min_scalar_type(th.size))
+    for t in th[:-1]:  # every step here lies below the top, which adds nothing
+        first_asleep += u_below >= t
+    order = np.argsort(first_asleep, kind="stable")
+    steps = steps[order]
+    asleep_throughput = u_below[order]
+    np.multiply(asleep_throughput, cfg.c_cap, out=asleep_throughput)
+    np.minimum(asleep_throughput, cfg.c_cov, out=asleep_throughput)
+    np.multiply(cfg.alpha, asleep_throughput, out=asleep_throughput)
+    # ends[k]: how many steps sleep at threshold k
+    ends = np.cumsum(np.bincount(first_asleep, minlength=th.size)).tolist()
+    outcomes, start = [], 0
+    for t, end in zip(th.tolist(), ends):
+        falling_asleep = steps[start:end]
+        throughput[falling_asleep] = asleep_throughput[start:end]
+        energy[falling_asleep] = cfg.e_off
+        r_bar = float(throughput.mean())
+        e_bar = float(energy.mean())
+        objective = (1.0 - cfg.lam) * r_bar - cfg.lam * e_bar
+        outcomes.append(SimOutcome(t, r_bar, e_bar, objective, end))
+        start = end
     best = int(np.argmax([o.objective for o in outcomes]))
     return outcomes, outcomes[best].threshold
 

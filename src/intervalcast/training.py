@@ -17,6 +17,7 @@ mini-batch at once by :func:`draw_batch`:
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 import operator
@@ -518,13 +519,14 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int, PolicyConfig]:
     not valid JSON, that lacks a field or holds one of the wrong type (a
     list in place of an object, say), whose weights are not valid base64,
     not all finite or not as many as the architecture needs raises
-    :class:`FormatError` naming the file; an unknown version raises
-    :class:`ConfigError`.
+    :class:`FormatError` naming the file; a version that is not one of the
+    readable JSON integers raises :class:`ConfigError` naming the file.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         version = doc.get("version")
-        if version not in _READABLE_CHECKPOINT_VERSIONS:
+        # a JSON integer only: true and 3.0 compare equal to a readable version
+        if type(version) is not int or version not in _READABLE_CHECKPOINT_VERSIONS:
             raise ConfigError(f"unsupported checkpoint version {version!r} in {path}")
         a = doc["arch"]
         arch = ModelArch(
@@ -533,7 +535,11 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int, PolicyConfig]:
         )
         theta = doc["theta"]
         if version == CHECKPOINT_VERSION:
-            theta = np.frombuffer(base64.b64decode(theta, validate=True), "<f8")
+            try:
+                theta = base64.b64decode(theta, validate=True)
+            except binascii.Error as exc:  # its class name alone reads "Error"
+                raise ValueError(f"theta is not valid base64: {exc}") from exc
+            theta = np.frombuffer(theta, "<f8")
         # a writable copy in native byte order
         params = ModelParams(arch, np.array(theta, dtype=np.float64))
         if not np.isfinite(params.theta).all():

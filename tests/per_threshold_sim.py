@@ -1,9 +1,9 @@
 """Reference energy simulation and decision comparison, one whole-trace pass per threshold.
 
-This is the body :func:`intervalcast.energy.simulate` ran before a threshold
-sweep served every threshold from one running state: each threshold builds
-its own per-step states, throughput and energy over the whole trace and
-averages them. :func:`per_threshold_compare` is
+This is how one threshold was simulated before a threshold sweep served
+every threshold from one running state: each threshold builds its own
+per-step states, throughput and energy over the whole trace and averages
+them. :func:`per_threshold_compare` is
 :func:`intervalcast.energy.compare_decisions` as it was before it derived its
 decisions as booleans. The tests require the library to equal both field for
 field.

@@ -302,7 +302,7 @@ def test_criterion_7_energy_oracles():
             and errs.mismatch_steps == 0
             and errs.energy_error_wh == 0.0
         )
-    out = ic.simulate(np.array([0.5]), 0.6, cfg)
+    out = ic.sweep_threshold(np.array([0.5]), [0.6], cfg)[0][0]
     hand_ok = out.sleep_steps == 1 and out.r_bar == pytest.approx(15.0)
     ok = ok and hand_ok
     _report(7, "energy-sim oracle equivalence", ok, f"R(t)={out.r_bar:.1f} Mbps")

@@ -5,8 +5,8 @@ recombines the rolling evaluation's per-cell MAEs, both to 1e-9; the
 untraced runs guard those checks against a change in the forward
 arithmetic, on the synthetic trace and on the 50-channel wide series (one
 epoch of its 463k-parameter mlp, about 14 s). The traced run guards the
-checkpoint hooks and figures, so that they cannot go dead without a
-failing test.
+checkpoint and energy-study hooks and figures, so that they cannot go dead
+without a failing test.
 """
 
 import json
@@ -66,12 +66,15 @@ def test_benchmark_traced_run_sees_checkpoint_hooks(tmp_path):
     lines = proc.stdout.strip().splitlines()
     # the run lists each hooked name it could not find, module path and all
     absent = [line.split(": ", 1)[1] for line in lines if line.startswith("# absent")]
-    for name in ("training.load_checkpoint", "training.save_checkpoint"):
+    for name in ("training.load_checkpoint", "training.save_checkpoint",
+                 "energy.sweep_threshold", "energy.compare_decisions"):
         assert not any(a.endswith(name) for a in absent), absent
     result = json.loads(lines[-1])
     assert result["correct"] is True and result["failed"] == 0
     metrics = result["metrics"]
-    assert metrics["training.load_checkpoint_s"]["value"] > 0
+    for name in ("training.load_checkpoint_s", "energy.sweep_threshold_self_s",
+                 "energy.compare_decisions_s"):
+        assert metrics[name]["value"] > 0, name
 
     checkpoint = tmp_path / "checkpoint.json"
     made = subprocess.run(

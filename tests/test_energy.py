@@ -7,7 +7,6 @@ from intervalcast import (
     EnergySimConfig,
     compare_decisions,
     default_threshold_grid,
-    simulate,
     sweep_threshold,
 )
 from intervalcast.errors import ConfigError, DataError
@@ -18,7 +17,7 @@ CFG = EnergySimConfig()  # c_cap=100, c_cov=30, alpha=0.5, e_on=1266, e_off=320
 
 def _asleep(u, u_th):
     """Per step, 1 when the threshold rule puts the capacity cell to sleep."""
-    return [simulate(np.array([x]), u_th, CFG).sleep_steps for x in u]
+    return [sweep_threshold(np.array([x]), [u_th], CFG)[0][0].sleep_steps for x in u]
 
 
 def test_decide_threshold_zero_all_active():
@@ -36,27 +35,27 @@ def test_decide_basic():
 
 def test_decide_validates_ranges():
     with pytest.raises(DataError):
-        simulate(np.array([1.2]), 0.5, CFG)
+        sweep_threshold(np.array([1.2]), [0.5], CFG)[0][0]
     with pytest.raises(ConfigError):
-        simulate(np.array([0.5]), 1.5, CFG)
+        sweep_threshold(np.array([0.5]), [1.5], CFG)[0][0]
 
 
 def test_simulate_load_formula():
     # one active step below capacity serves its whole load, L = u * c_cap
-    out = simulate(np.array([0.5]), 0.0, CFG)
+    out = sweep_threshold(np.array([0.5]), [0.0], CFG)[0][0]
     assert out.sleep_steps == 0
     assert out.r_bar == pytest.approx(50.0)
 
 
 def test_simulate_offload_degradation():
     # sleeping state: R = alpha * min(L, c_cov) = 0.5 * min(50, 30) = 15
-    out = simulate(np.array([0.5]), 0.6, CFG)
+    out = sweep_threshold(np.array([0.5]), [0.6], CFG)[0][0]
     assert out.sleep_steps == 1
     assert out.r_bar == pytest.approx(15.0)
 
 
 def test_simulate_always_on_energy():
-    out = simulate(np.random.default_rng(0).uniform(0, 1, 50), 0.0, CFG)
+    out = sweep_threshold(np.random.default_rng(0).uniform(0, 1, 50), [0.0], CFG)[0][0]
     assert out.e_bar == pytest.approx(1266.0)
 
 
@@ -64,10 +63,10 @@ def test_simulate_energy_bounds_and_throughput_cap():
     rng = np.random.default_rng(1)
     u = rng.uniform(0, 1, 200)
     for th in (0.0, 0.3, 0.9):
-        out = simulate(u, th, CFG)
+        out = sweep_threshold(u, [th], CFG)[0][0]
         assert CFG.e_off <= out.e_bar <= CFG.e_on
         # per step, on one-step traces
-        steps = [simulate(u[i : i + 1], th, CFG) for i in range(u.size)]
+        steps = [sweep_threshold(u[i : i + 1], [th], CFG)[0][0] for i in range(u.size)]
         assert max(step.r_bar for step in steps) <= max(CFG.c_cap, CFG.alpha * CFG.c_cov)
         assert {step.e_bar for step in steps} <= {CFG.e_on, CFG.e_off}
 
@@ -75,14 +74,15 @@ def test_simulate_energy_bounds_and_throughput_cap():
 def test_simulate_objective_formula():
     cfg = EnergySimConfig(lam=0.25)
     u = np.array([0.1, 0.9])
-    out = simulate(u, 0.5, cfg)
+    out = sweep_threshold(u, [0.5], cfg)[0][0]
     assert out.objective == pytest.approx(0.75 * out.r_bar - 0.25 * out.e_bar)
 
 
 def test_active_steps_monotone_in_threshold():
     rng = np.random.default_rng(2)
     u = rng.uniform(0, 1, 300)
-    actives = [u.size - simulate(u, th, CFG).sleep_steps for th in np.linspace(0, 1, 21)]
+    grid = np.linspace(0, 1, 21)
+    actives = [u.size - sweep_threshold(u, [th], CFG)[0][0].sleep_steps for th in grid]
     assert all(a >= b for a, b in zip(actives, actives[1:]))
 
 
@@ -112,7 +112,8 @@ def test_sweep_threshold_keeps_no_per_step_arrays():
     # four per-step arrays kept for each of 26 thresholds of a 100k-step trace
     # would take 83 MB; with aggregates only, the sweep peaks at its fixed set
     # of per-step arrays: the running throughput and energy, plus the index,
-    # utilization and sleeping throughput of the steps below the top threshold
+    # utilization, first sleeping threshold, sort order and sleeping
+    # throughput of the steps below the top threshold
     u = np.random.default_rng(6).uniform(0, 0.05, 100_000)
     tracemalloc.start()
     try:
@@ -139,8 +140,9 @@ def _reference_trace(seed: int, grid: np.ndarray) -> np.ndarray:
         np.array([0.0, 0.01, 0.01, 0.015, 0.015, 0.015, 0.02]),
         np.linspace(0.0, 1.0, 11),
         np.array([0.0125]),
+        np.linspace(0.0, 1.0, 301),  # a first-sleep index needs more than 8 bits
     ],
-    ids=["default", "duplicates", "ends_at_one", "one_threshold"],
+    ids=["default", "duplicates", "ends_at_one", "one_threshold", "301_thresholds"],
 )
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
 def test_sweep_and_simulate_equal_per_threshold_reference(grid, lam):
@@ -151,7 +153,25 @@ def test_sweep_and_simulate_equal_per_threshold_reference(grid, lam):
         got, got_best = sweep_threshold(u, grid, cfg)
         assert got == want  # every field, bit for bit
         assert got_best == want_best
-        assert [simulate(u, float(t), cfg) for t in grid] == want
+        assert [sweep_threshold(u, [t], cfg)[0][0] for t in grid] == want
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_sweep_with_no_step_below_the_top_equals_reference(lam):
+    cfg, grid = EnergySimConfig(lam=lam), default_threshold_grid()
+    u = np.concatenate([[grid[-1], 1.0], np.random.default_rng(8).uniform(grid[-1], 1.0, 500)])
+    got = sweep_threshold(u, grid, cfg)
+    assert got == per_threshold_sweep(u, grid, cfg)
+    assert {o.sleep_steps for o in got[0]} == {0}
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_sweep_with_every_step_asleep_at_first_positive_threshold_equals_reference(lam):
+    cfg, grid = EnergySimConfig(lam=lam), default_threshold_grid()
+    u = np.concatenate([[0.0], np.random.default_rng(9).uniform(0.0, grid[1], 500)])
+    got = sweep_threshold(u, grid, cfg)
+    assert got == per_threshold_sweep(u, grid, cfg)
+    assert [o.sleep_steps for o in got[0]] == [0] + [u.size] * (grid.size - 1)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -0.01, 1.5])
@@ -170,11 +190,11 @@ def test_sweep_requires_sorted_thresholds():
 
 def test_simulate_deterministic():
     u = np.random.default_rng(4).uniform(0, 1, 100)
-    a = simulate(u, 0.3, CFG)
-    b = simulate(u, 0.3, CFG)
+    a = sweep_threshold(u, [0.3], CFG)[0][0]
+    b = sweep_threshold(u, [0.3], CFG)[0][0]
     # the per-step states, on one-step traces
     def states():
-        return [simulate(u[i : i + 1], 0.3, CFG).sleep_steps for i in range(u.size)]
+        return [sweep_threshold(u[i : i + 1], [0.3], CFG)[0][0].sleep_steps for i in range(u.size)]
 
     assert states() == states()
     assert a.objective == b.objective
@@ -224,7 +244,7 @@ def test_compare_equals_per_threshold_reference():
 def test_simulate_rejects_nan_utilization():
     u = np.array([0.2, np.nan, 0.6])
     with pytest.raises(DataError):
-        simulate(u, 0.01, CFG)
+        sweep_threshold(u, [0.01], CFG)[0][0]
     with pytest.raises(DataError):
         compare_decisions(u, np.full(3, 0.5), 0.5, CFG)
 

@@ -493,11 +493,12 @@ def test_checkpoint_unknown_version_names_file(tmp_path):
     path = tmp_path / "ck.json"
     save_checkpoint(path, params, 0, PolicyConfig("b"))
     doc = json.loads(path.read_text())
-    doc["version"] = 4
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError) as err:
-        load_checkpoint(path)
-    assert str(path) in str(err.value) and "version 4" in str(err.value)
+    # true and the floats compare equal to a readable version, and used to load
+    for version in (4, True, 1.0, 2.0, 3.0):
+        path.write_text(json.dumps({**doc, "version": version}))
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and f"version {version!r}" in str(err.value)
 
 
 def _v2_doc(theta: list) -> dict:
@@ -528,16 +529,16 @@ def _v3_theta(values: np.ndarray) -> str:
     return base64.b64encode(values.astype("<f8").tobytes()).decode()
 
 
-@pytest.mark.parametrize("version,theta", [
-    (2, lambda t: t[:-1].tolist()),
-    (2, lambda t: t.tolist() + [0.5]),
-    (3, lambda t: _v3_theta(t[:-1])),
-    (3, lambda t: _v3_theta(t)[:-8] + "AAAA"),
-    (3, lambda t: t.tolist()),
-    (3, lambda t: _v3_theta(t)[:-1] + "!"),
+@pytest.mark.parametrize("version,theta,reason", [
+    (2, lambda t: t[:-1].tolist(), "architecture needs 37"),
+    (2, lambda t: t.tolist() + [0.5], "architecture needs 37"),
+    (3, lambda t: _v3_theta(t[:-1]), "architecture needs 37"),
+    (3, lambda t: _v3_theta(t)[:-8] + "AAAA", "multiple of element size"),
+    (3, lambda t: t.tolist(), "TypeError"),
+    (3, lambda t: _v3_theta(t)[:-1] + "!", "ValueError: theta is not valid base64"),
 ], ids=["v2_short", "v2_long", "v3_short", "v3_partial_weight", "v3_not_a_string",
         "v3_invalid_base64"])
-def test_checkpoint_with_bad_weights_names_file(tmp_path, version, theta):
+def test_checkpoint_with_bad_weights_names_file(tmp_path, version, theta, reason):
     # a weight count that differs from the architecture's used to raise a
     # bare DimensionError that named no file
     params = init("mlp", (4, 2, 1), 3, hidden=3)
@@ -546,6 +547,7 @@ def test_checkpoint_with_bad_weights_names_file(tmp_path, version, theta):
     with pytest.raises(FormatError) as err:
         load_checkpoint(path)
     assert str(err.value).startswith(f"{path}: malformed checkpoint")
+    assert reason in str(err.value)
 
 
 def test_checkpoint_preserves_infinite_nu(tmp_path):
