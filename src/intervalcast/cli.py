@@ -98,13 +98,13 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def _seed_flag(flag: str, many: bool = False):
-    """The argparse type of a seed flag: an integer (a comma list if ``many``), none negative."""
+def _int_flag(flag: str, minimum: int, many: bool = False):
+    """The argparse type of an integer flag (a comma list if ``many``), none below ``minimum``."""
     def parse(text: str):
-        seeds = _parse_int_list(text, flag) if many else [int(text)]
-        if min(seeds) < 0:
-            raise ConfigError(f"{flag} must be >= 0, got {min(seeds)}")
-        return seeds if many else seeds[0]
+        values = _parse_int_list(text, flag) if many else [int(text)]
+        if min(values) < minimum:
+            raise ConfigError(f"{flag} must be >= {minimum}, got {min(values)}")
+        return values if many else values[0]
     parse.__name__ = "int"  # argparse names the type when the text is not an integer
     return parse
 
@@ -431,7 +431,7 @@ def cmd_energy(args) -> int:
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", default="synth", help="'synth' or a CSV path")
-    p.add_argument("--data-seed", type=_seed_flag("--data-seed"), default=None,
+    p.add_argument("--data-seed", type=_int_flag("--data-seed", 0), default=None,
                    help="seed for the synthetic trace (0)")
     p.add_argument("--noise-sd", type=float, default=None, help="synthetic noise level (0.05)")
     p.add_argument("--domain-max", type=float, default=None,
@@ -446,14 +446,15 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w", type=int, default=48, help="history window length")
     p.add_argument("--tau", type=int, default=24, help="forecast horizon")
     p.add_argument("--model", choices=("mlp", "linear"), default="mlp")
-    p.add_argument("--hidden", type=int, default=64, help="mlp hidden width")
-    p.add_argument("--kernel", type=int, default=25, help="linear moving-average window")
+    p.add_argument("--hidden", type=_int_flag("--hidden", 1), default=64, help="mlp hidden width")
+    p.add_argument("--kernel", type=_int_flag("--kernel", 1), default=25,
+                   help="linear moving-average window")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
-    p.add_argument("--batch", type=int, default=DEFAULT_BATCH)
-    p.add_argument("--patience", type=int, default=DEFAULT_PATIENCE)
+    p.add_argument("--epochs", type=_int_flag("--epochs", 1), default=DEFAULT_EPOCHS)
+    p.add_argument("--batch", type=_int_flag("--batch", 1), default=DEFAULT_BATCH)
+    p.add_argument("--patience", type=_int_flag("--patience", 1), default=DEFAULT_PATIENCE)
     p.add_argument("--weight-decay", type=float, default=0.0)
     p.add_argument("--interval", type=_parse_interval, default=None,
                    help="task interval 'lo,hi' (e2e)")
@@ -481,13 +482,13 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add_command("generate", cmd_generate, "write the synthetic trace as CSV")
-    p.add_argument("--seed", type=_seed_flag("--seed"), default=0)
+    p.add_argument("--seed", type=_int_flag("--seed", 0), default=0)
     p.add_argument("--noise-sd", type=float, default=0.05)
     p.add_argument("--name", default="synthds.csv", help="output file name")
 
     p = add_command("train", cmd_train, "train one policy with one seed")
     p.add_argument("--policy", choices=POLICY_KINDS, default=None)
-    p.add_argument("--seed", type=_seed_flag("--seed"), default=0)
+    p.add_argument("--seed", type=_int_flag("--seed", 0), default=0)
     _add_data_flags(p)
     _add_model_flags(p)
     _add_train_flags(p)
@@ -504,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("sweep", cmd_sweep, "grid sweep over L, nu, or delta")
     p.add_argument("--sweep", type=_parse_sweep, default=None,
                    help="'L=4,8,16,32', 'nu=0,1,2,5,inf', or 'delta=0:0.4:9'")
-    p.add_argument("--seeds", type=_seed_flag("--seeds", many=True), default="0",
+    p.add_argument("--seeds", type=_int_flag("--seeds", 0, many=True), default="0",
                    help="comma-separated training seeds")
     p.add_argument("--eval-L", type=int, default=4, help="evaluation partition size")
     _add_data_flags(p)

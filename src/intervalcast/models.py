@@ -91,7 +91,7 @@ class ModelParams:
 
 
 class BatchDraw(NamedTuple):
-    """Loss shaping for one mini-batch, one row per sample.
+    """Loss shaping for a mini-batch or a block of them, one row per sample.
 
     ``bounds`` holds each sample's conditioning interval as (lo, hi),
     ``weight`` its loss weight, and ``labels`` (patching-augmented policy
@@ -324,7 +324,8 @@ def backward(
     cov = _covariate_rows(arch, draw.bounds)
     reg, prob, A = _outputs(projection, cov, paired=True)
     reg, prob = reg[:, 0], prob[:, 0]
-    loss = float(sample_losses(reg, prob, Y, draw, phi).mean())
+    # np.add.reduce and a divide: what .mean computes, without its wrapper
+    loss = float(np.add.reduce(sample_losses(reg, prob, Y, draw, phi)) / B)
 
     # the output gradient is built in place: the regression half of each
     # row, then the logit half, as the mlp's output layer lays them out
@@ -389,10 +390,12 @@ def sample_losses(
     count = math.prod(targets.shape[1:])
     losses = draw.weight * (np.add.reduce(np.abs(reg - targets), axis=(1, 2)) / count)
     if draw.labels is not None and phi != 0.0:
-        p = np.clip(prob, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        # np.clip without its wrapper, in place so that no second temporary is made
+        p = np.maximum(prob, PROB_CLAMP)
+        np.minimum(p, 1.0 - PROB_CLAMP, out=p)
         bce = -(draw.labels * np.log(p) + (1.0 - draw.labels) * np.log1p(-p))
         losses = losses + phi * (draw.weight * (np.add.reduce(bce, axis=(1, 2)) / count))
-    if not np.all(np.isfinite(losses)):
+    if not np.isfinite(losses).all():
         bad = int(np.flatnonzero(~np.isfinite(losses))[0])
         raise NumericError(f"non-finite loss at batch sample {start + bad}")
     return losses

@@ -2,8 +2,9 @@
 
 Five policies share one loop; they differ only in how each sample's
 conditioning interval, loss weight, and (for the patching-augmented policy)
-per-entry classification labels are produced, all drawn for a whole
-mini-batch at once by :func:`draw_batch`:
+per-entry classification labels are produced, all drawn by
+:func:`draw_batch` for a block of whole mini-batches at once (see
+:func:`train`):
 
 * ``b``     -- full domain, weight 1, interval covariate disabled.
 * ``e2e``   -- one fixed task interval, hard indicator weight, covariate disabled.
@@ -81,11 +82,15 @@ CHECKPOINT_VERSION = 3
 _READABLE_CHECKPOINT_VERSIONS = (1, 2, CHECKPOINT_VERSION)
 
 # Cache blocking. An AdamW block of 16k entries keeps its six 128 KB
-# vector slices in L2 across the update's passes. A validation row block
-# holds about 32k target entries, so its projection, outputs, loss weights
-# and loss temporaries stay a few MB however long the validation split is.
+# vector slices in L2 across the update's passes. The row blocks of
+# validation and of training each hold about ``_BLOCK_ENTRIES`` entries:
+# a validation block counts target entries, so its projection, outputs,
+# loss weights and loss temporaries stay a few MB however long the split
+# is; a training block counts history and target entries and holds whole
+# batches (at least one), so an epoch makes one gather and one policy draw
+# per block instead of per batch, while its temporaries stay as small.
 _ADAMW_BLOCK = 16384
-_VALIDATION_BLOCK_ENTRIES = 32768
+_BLOCK_ENTRIES = 32768
 
 
 @dataclass(frozen=True)
@@ -156,14 +161,17 @@ class PolicyConfig:
 def draw_batch(
     policy: PolicyConfig, targets: np.ndarray, rng: np.random.Generator
 ) -> BatchDraw:
-    """Draw every sample's conditioning interval, weight and labels for one mini-batch.
+    """Draw every sample's conditioning interval, weight and labels for B samples.
 
-    ``targets`` is the batch's (B, tau, n) target array. Draws are fresh
-    each time a sample is seen. They consume the RNG stream exactly as one
-    scalar draw per sample in batch order would: ``integers(0, k, size=B)``
+    ``targets`` is the samples' (B, tau, n) target array: one mini-batch,
+    or in :func:`train` a block of consecutive mini-batches. Draws are
+    fresh each time a sample is seen. They consume the RNG stream exactly
+    as one scalar draw per sample in order would: ``integers(0, k, size=B)``
     over the k :attr:`PolicyConfig.cells`, which takes nothing from the
     stream when k is 1, and for ``c`` the rows of ``random((B, 2))`` mapped
-    to lo ~ U[0, 1-delta], hi ~ U[lo+delta, 1].
+    to lo ~ U[0, 1-delta], hi ~ U[lo+delta, 1]. Each sample's weight and
+    labels read only its own targets, so rows [i:j] of one draw over a
+    block equal a draw over those rows alone from the same RNG state.
     """
     Y = np.asarray(targets, dtype=np.float64)
     B = len(Y)
@@ -298,7 +306,7 @@ def _validation_intervals(policy: PolicyConfig) -> tuple[Interval, ...]:
 
 
 def _validation_blocks(val_samples: Windows) -> list[int]:
-    """Edges of the near-equal row blocks of about ``_VALIDATION_BLOCK_ENTRIES`` target entries.
+    """Edges of the near-equal row blocks of about ``_BLOCK_ENTRIES`` target entries.
 
     The blocks are of near-equal size, not full blocks plus a short tail,
     because BLAS can round a product of very few rows differently from a
@@ -306,7 +314,7 @@ def _validation_blocks(val_samples: Windows) -> list[int]:
     """
     Y = val_samples.target
     N = len(Y)
-    blocks = -(-N // max(1, _VALIDATION_BLOCK_ENTRIES // math.prod(Y.shape[1:])))
+    blocks = -(-N // max(1, _BLOCK_ENTRIES // math.prod(Y.shape[1:])))
     return [N * i // blocks for i in range(blocks + 1)]
 
 
@@ -345,7 +353,7 @@ def validation_loss(
     once per call and passes them in. They are computed here when omitted.
 
     The samples run in the row blocks of :func:`_validation_blocks`, about
-    ``_VALIDATION_BLOCK_ENTRIES`` target entries each, and each block is
+    ``_BLOCK_ENTRIES`` target entries each, and each block is
     projected once for all intervals; the weights are computed in the same
     blocks. So the temporaries stay small however long the split is. Each
     interval's per-sample losses fill one row of an (intervals, N) array,
@@ -392,8 +400,18 @@ def train(
     Fully deterministic for a given seed and configuration. The
     validation loss weights depend only on the targets, so they are
     computed once per call, in the row blocks of :func:`validation_loss`.
-    Raises :class:`TrainingError` when every loss weight drawn in an epoch
-    is 0, since such a run would learn nothing.
+
+    Each epoch walks its permutation in blocks of whole batches, as many
+    as fit in about ``_BLOCK_ENTRIES`` history and target entries and at
+    least one. A block takes one gather and one :func:`draw_batch` call,
+    and each update reads views of its batch's rows. This is bitwise equal
+    to one gather and one draw per batch: the draw consumes the RNG as
+    per-sample draws in batch order would, nothing else reads that RNG
+    within an epoch, each sample's weight and labels read only its own
+    targets, and every update's products keep their batch shape. Raises
+    :class:`TrainingError` when a batch's loss is not finite, naming the
+    epoch and the batch's index within it, and when every loss weight
+    drawn in an epoch is 0, since such a run would learn nothing.
     """
     if len(train_samples) == 0 or len(val_samples) == 0:
         raise TrainingError("training and validation splits must be non-empty")
@@ -407,6 +425,7 @@ def train(
     loop_rng = np.random.default_rng(seed + _LOOP_SEED_OFFSET)
     phi = policy.effective_phi
     val_weights = _validation_weights(policy, val_samples)
+    block_size = batch_size * max(1, _BLOCK_ENTRIES // (batch_size * (w + tau) * n))
 
     report = TrainReport()
     best_val = math.inf
@@ -416,16 +435,22 @@ def train(
         order = loop_rng.permutation(len(train_samples))
         batch_losses = []
         weight_sum = 0.0
-        for b, start in enumerate(range(0, len(order), batch_size)):
-            batch = train_samples[order[start : start + batch_size]]
-            draw = draw_batch(policy, batch.target, loop_rng)
-            weight_sum += draw.weight.sum()
-            try:
-                loss, grad = backward(params, batch.history, batch.target, draw, phi)
-            except NumericError as exc:
-                raise TrainingError(f"epoch {epoch}, batch {b}: {exc}") from exc
-            adamw_update(opt, params.theta, grad, lr, policy.weight_decay)
-            batch_losses.append(loss)
+        for block_start in range(0, len(order), block_size):
+            block = train_samples[order[block_start : block_start + block_size]]
+            block_draw = draw_batch(policy, block.target, loop_rng)
+            weight_sum += block_draw.weight.sum()
+            for start in range(0, len(block), batch_size):
+                rows = slice(start, start + batch_size)
+                draw = BatchDraw(*(None if a is None else a[rows] for a in block_draw))
+                try:
+                    loss, grad = backward(
+                        params, block.history[rows], block.target[rows], draw, phi
+                    )
+                except NumericError as exc:
+                    b = (block_start + start) // batch_size
+                    raise TrainingError(f"epoch {epoch}, batch {b}: {exc}") from exc
+                adamw_update(opt, params.theta, grad, lr, policy.weight_decay)
+                batch_losses.append(loss)
         if weight_sum == 0.0:
             raise TrainingError(
                 f"policy {policy.label()}, epoch {epoch}: every drawn loss weight is 0, "

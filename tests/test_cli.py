@@ -64,17 +64,31 @@ def test_non_finite_noise_is_rejected(tmp_path, capsys, noise_sd):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("argv,flag,value", [
-    (["generate", "--seed", "-1"], "--seed", -1),
-    (["train", "--policy", "b", "--seed", "-1"] + FAST_SWEEP, "--seed", -1),
-    (["train", "--policy", "b", "--data-seed", "-2"] + FAST_SWEEP, "--data-seed", -2),
-    (["sweep", "--sweep", "nu=1", "--seeds", "0,-1"] + FAST_SWEEP, "--seeds", -1),
-], ids=["generate", "train", "data-seed", "sweep"])
-def test_negative_seed_fails_naming_its_flag(tmp_path, capsys, argv, flag, value):
-    # rejected as the flag is parsed: sweep used to train seed 0 first
+@pytest.mark.parametrize("argv,flag,value,minimum", [
+    (["generate", "--seed", "-1"], "--seed", -1, 0),
+    (["train", "--policy", "b", "--seed", "-1"] + FAST_SWEEP, "--seed", -1, 0),
+    (["train", "--policy", "b", "--data-seed", "-2"] + FAST_SWEEP, "--data-seed", -2, 0),
+    (["sweep", "--sweep", "nu=1", "--seeds", "0,-1"] + FAST_SWEEP, "--seeds", -1, 0),
+    (["train", "--policy", "b"] + FAST_SWEEP + ["--epochs", "0"], "--epochs", 0, 1),
+    (["train", "--policy", "b", "--batch", "0"] + FAST_SWEEP, "--batch", 0, 1),
+    (["train", "--policy", "b", "--patience", "-3"] + FAST_SWEEP, "--patience", -3, 1),
+    (["train", "--policy", "b"] + FAST_SWEEP + ["--hidden", "0"], "--hidden", 0, 1),
+    (["train", "--policy", "b", "--model", "linear", "--kernel", "0"] + FAST_SWEEP,
+     "--kernel", 0, 1),
+    (["train", "--policy", "b", "--kernel", "0"] + FAST_SWEEP, "--kernel", 0, 1),
+    (["sweep", "--sweep", "nu=1", "--batch", "0"] + FAST_SWEEP, "--batch", 0, 1),
+], ids=["generate", "train", "data-seed", "sweep", "epochs", "batch", "patience", "hidden",
+        "kernel-linear", "kernel-mlp", "sweep-batch"])
+def test_negative_seed_fails_naming_its_flag(tmp_path, capsys, argv, flag, value, minimum):
+    # seeds below 0 and counts below 1 are rejected as the flag is parsed,
+    # before --out is made: sweep used to train seed 0 first, and a count
+    # of 0 used to fail in train() and leave an empty --out directory; a
+    # --kernel the mlp ignores is rejected all the same
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: ConfigError: {flag} must be >= 0, got {value}\n"
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: {flag} must be >= {minimum}, got {value}\n"
+    )
     assert not out.exists()
 
 

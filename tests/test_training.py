@@ -37,6 +37,7 @@ from intervalcast.models import BatchDraw, backward, init, sample_losses
 from concat_forward import concat_forward
 import intervalcast.training as training
 from intervalcast.training import AdamwState, adamw_update
+from per_batch_train import per_batch_train
 from per_sample_draw import per_sample_draw
 
 
@@ -414,6 +415,14 @@ def test_train_rejects_empty_split():
         train(PolicyConfig("b"), "mlp", tr[:0], va, 0)
 
 
+@pytest.mark.parametrize("setting", ["epochs", "batch_size", "patience"])
+def test_train_rejects_non_positive_loop_settings(setting):
+    # the CLI rejects these as their flags are parsed; library callers get this
+    tr, va, _ = _synth_splits()
+    with pytest.raises(ConfigError, match="epochs, batch_size and patience must be >= 1"):
+        train(PolicyConfig("b"), "mlp", tr[:40], va[:10], 0, hidden=4, **{setting: 0})
+
+
 def test_train_error_carries_epoch_and_batch():
     rng = np.random.default_rng(8)
     bad_target = np.full((2, 1), np.nan)
@@ -433,6 +442,131 @@ def test_train_rejects_zero_training_signal():
     with pytest.raises(TrainingError) as err:
         train(policy, "mlp", tr, va, 0, epochs=2, hidden=4)
     assert "D4" in str(err.value) and "epoch 0" in str(err.value)
+
+
+# ---------------------------------------------------------------- blocks of batches
+
+
+def _level_windows(rng, count, w=6, tau=3, n=2):
+    """Random histories; each target lies near one random level, so many fall inside one cell."""
+    return _windows(
+        (rng.uniform(0, 1, (w, n)), np.clip(rng.uniform(0, 1) + rng.normal(0, 0.02, (tau, n)), 0, 1))
+        for _ in range(count)
+    )
+
+
+def _recording_draws(monkeypatch):
+    """The sample count of each draw_batch call that train() makes from now on."""
+    sizes = []
+    real = training.draw_batch
+
+    def recording(policy, targets, rng):
+        sizes.append(len(targets))
+        return real(policy, targets, rng)
+
+    monkeypatch.setattr(training, "draw_batch", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("kind", ["mlp", "linear"])
+@pytest.mark.parametrize("batch_size,blocks", [
+    (32, [32, 18]), (7, [14, 14, 14, 8]), (1, [16, 16, 16, 2]), (64, [50]),
+], ids=["batch32", "batch7", "batch1", "batch64"])
+@pytest.mark.parametrize("policy", [
+    PolicyConfig("b"),
+    PolicyConfig("e2e", task_interval=Interval(0.25, 0.75)),
+    PolicyConfig("c", delta=0.2),
+    PolicyConfig("d", partition=DiscretePartition(3)),
+    PolicyConfig("dstar", partition=DiscretePartition(3), nu=DecaySpec(37.0), phi=0.5),
+    PolicyConfig("dstar", partition=DiscretePartition(5), nu=INDICATOR, phi=0.5),
+], ids=["b", "e2e", "c", "d3", "dstar3_nu37", "dstar5_inf"])
+def test_train_blocks_equal_per_batch_reference(policy, batch_size, blocks, kind, monkeypatch):
+    # (w + tau) * n = 18 entries per sample: a 300-entry budget holds one
+    # batch of 32, two of 7 or 16 of 1, so the 50 training samples of an
+    # epoch run in several blocks that end in a short one, and in one block
+    # when the batch is larger than the split. The budget also sets
+    # validation's row blocks, so the reference runs under it too.
+    rng = np.random.default_rng(24)
+    tr, va = _level_windows(rng, 50), _level_windows(rng, 20)
+    monkeypatch.setattr(training, "_BLOCK_ENTRIES", 300)
+    sizes = _recording_draws(monkeypatch)
+    settings = dict(epochs=3, batch_size=batch_size, patience=5, hidden=5, kernel=3)
+    params, report, steps = train(policy, kind, tr, va, 11, **settings)
+    ref_params, ref_report, ref_steps = per_batch_train(policy, kind, tr, va, 11, **settings)
+    assert sizes == blocks * 3
+    assert params.theta.tobytes() == ref_params.theta.tobytes()
+    assert report.epochs == ref_report.epochs
+    assert steps == ref_steps == 3 * -(-50 // batch_size)
+    assert (report.best_epoch, report.stopped_early) == (ref_report.best_epoch, False)
+
+
+def test_train_draws_once_per_block_of_batches(monkeypatch):
+    # the README flagship shape (w=48, tau=24, n=1, batch 32) holds 2304
+    # entries per batch, so a 32k-entry block takes 14 batches and the 63
+    # batches of an epoch take 5 draws; each update still sees one batch
+    tr, va, _ = _synth_splits(w=48, tau=24, noise=0.05)
+    assert -(-len(tr) // 32) == 63
+    sizes = _recording_draws(monkeypatch)
+    updates = []
+    real_backward = training.backward
+
+    def counting(params, histories, *args):
+        updates.append(len(histories))
+        return real_backward(params, histories, *args)
+
+    monkeypatch.setattr(training, "backward", counting)
+    policy = PolicyConfig("dstar", partition=DiscretePartition(8), nu=DecaySpec(37.0), phi=0.5)
+    train(policy, "mlp", tr, va[:50], 0, epochs=1, hidden=4)
+    assert sizes == [448] * 4 + [len(tr) - 4 * 448]
+    assert len(updates) == 63 and set(updates[:-1]) == {32}
+
+
+def test_train_draws_once_per_batch_when_one_batch_exceeds_the_block(monkeypatch):
+    # a wide-shaped split (w=96, tau=24, n=50) holds 192000 entries per
+    # batch of 32, more than a block, so each block is one batch
+    rng = np.random.default_rng(26)
+    tr = Windows(rng.uniform(0, 1, (70, 96, 50)), rng.uniform(0, 1, (70, 24, 50)), np.arange(70))
+    va = tr[:5]
+    sizes = _recording_draws(monkeypatch)
+    train(PolicyConfig("b"), "mlp", tr, va, 0, epochs=1, hidden=2)
+    assert sizes == [32, 32, 6]
+
+
+def test_train_names_global_batch_of_non_finite_loss_in_a_later_block(monkeypatch):
+    # the first epoch's permutation is the loop RNG's first draw, so the
+    # non-finite target can be placed at row 30 of it: batch 4 of size 7,
+    # in the third block of 14; the blocked loop and the per-batch
+    # reference name the same epoch, batch and sample
+    rng = np.random.default_rng(27)
+    tr, va = _level_windows(rng, 50), _level_windows(rng, 20)
+    seed = 5
+    order = np.random.default_rng(seed + training._LOOP_SEED_OFFSET).permutation(50)
+    tr.target[order[30], 1, 0] = np.nan
+    monkeypatch.setattr(training, "_BLOCK_ENTRIES", 300)
+    messages = []
+    for run in (train, per_batch_train):
+        with pytest.raises(TrainingError) as err:
+            run(PolicyConfig("b"), "mlp", tr, va, seed, epochs=2, batch_size=7, patience=5,
+                hidden=3)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "epoch 0, batch 4: non-finite loss at batch sample 2"
+
+
+def test_train_allocates_less_than_one_epoch_gather():
+    # a long split with w much larger than tau: one epoch's blocks of
+    # batches stay far below the split's stacked histories, which a gather
+    # of the whole permuted epoch at once would allocate
+    N, w, tau, n = 8000, 64, 2, 1
+    rng = np.random.default_rng(28)
+    tr = Windows(rng.uniform(0, 1, (N, w, n)), rng.uniform(0, 1, (N, tau, n)), np.arange(N))
+    policy = PolicyConfig("dstar", partition=DiscretePartition(4), nu=DecaySpec(37.0), phi=0.5)
+    tracemalloc.start()
+    try:
+        train(policy, "mlp", tr, tr[:50], 0, epochs=1, hidden=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < tr.history.nbytes
 
 
 # ---------------------------------------------------------------- checkpoints
@@ -665,7 +799,7 @@ def test_validation_loss_row_blocks_match_one_block(kind, policy, monkeypatch):
         return real(params, histories)
 
     monkeypatch.setattr(training, "project_histories", recording)
-    monkeypatch.setattr(training, "_VALIDATION_BLOCK_ENTRIES", 32)
+    monkeypatch.setattr(training, "_BLOCK_ENTRIES", 32)
     got = training.validation_loss(params, policy, val)
     assert blocks == [7, 8, 7, 8]
     assert got == pytest.approx(one_block, rel=1e-12, abs=0.0)
@@ -692,7 +826,7 @@ def test_validation_weights_row_blocks_match_one_block(policy, monkeypatch):
     one_block = training._validation_weights(policy, val)
     whole = [training._loss_weights(policy, val.target, iv.lo, iv.hi)
              for iv in training._validation_intervals(policy)]
-    monkeypatch.setattr(training, "_VALIDATION_BLOCK_ENTRIES", 32)
+    monkeypatch.setattr(training, "_BLOCK_ENTRIES", 32)
     assert training._validation_blocks(val) == [0, 7, 15, 22, 30]
     got = training._validation_weights(policy, val)
     assert got.shape == (len(whole), 30)
@@ -722,7 +856,7 @@ def test_validation_loss_names_non_finite_sample_across_row_blocks(monkeypatch):
     histories[17] = np.nan
     val = Windows(histories, rng.uniform(0, 1, (30, 2, 2)), np.arange(30))
     params = init("mlp", (4, 2, 2), 3, hidden=3, use_covariate=False)
-    monkeypatch.setattr(training, "_VALIDATION_BLOCK_ENTRIES", 32)
+    monkeypatch.setattr(training, "_BLOCK_ENTRIES", 32)
     with pytest.raises(NumericError, match="non-finite loss at batch sample 17"):
         training.validation_loss(params, PolicyConfig("b"), val)
 
@@ -739,7 +873,7 @@ def test_train_computes_validation_weights_once(monkeypatch):
     # computed once per train() call, not once per epoch
 
     tr, va, _ = _synth_splits()
-    val = va[:37]  # no training batch has 37 samples
+    val = va[:37]  # no training block of batches has 37 samples
     calls = []
     real = training.target_weights
 
