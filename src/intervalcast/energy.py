@@ -1,16 +1,16 @@
 """Two-tier base-station energy-saving simulator driven by a utilization trace.
 
 A capacity cell is deactivated whenever utilization falls below a threshold;
-offloaded traffic is served by the coverage cell at degraded rate. The
-simulator books realized throughput and energy per step, keeps only their
-means and the sleep count, and scores a threshold by the trade-off
-objective (1 - lambda) * mean_throughput - lambda * mean_energy.
-
-A threshold sweep runs every threshold of its ascending grid over one
-running per-step state. Each step below the grid's top is placed once, at the
-first threshold where it sleeps, so each threshold rewrites only the steps
-that fall asleep there; each figure still equals, bit for bit, a separate
-whole-trace simulation at that threshold.
+offloaded traffic is served by the coverage cell at degraded rate. A
+threshold scores (1 - lambda) * r_bar - lambda * e_bar, where r_bar is the
+mean realized throughput and, with s of T steps asleep, the mean energy is
+e_bar = ((T - s) * e_on + s * e_off) / T. A sweep runs its ascending grid over
+one running per-step throughput, rewriting each step below the grid's top
+once, at the first threshold where it sleeps. Every figure equals a
+whole-trace simulation at its threshold bit for bit when e_on and e_off are
+multiples of one 2^-k with T * e_on * 2^k < 2^53, as the defaults are: the
+closed form's numerator and each partial sum of a per-step energy array are
+then exact. Other energies differ in the last bits, within 2 ulp of exact.
 """
 
 from __future__ import annotations
@@ -95,6 +95,10 @@ def _check_thresholds(thresholds) -> np.ndarray:
     return th
 
 
+def _mean_energy(asleep: int, steps: int, cfg: EnergySimConfig) -> float:
+    return ((steps - asleep) * cfg.e_on + asleep * cfg.e_off) / steps
+
+
 def default_threshold_grid() -> np.ndarray:
     """26 evenly spaced thresholds over [0, 0.025]."""
     return np.linspace(0.0, THRESHOLD_GRID_MAX, THRESHOLD_GRID_POINTS)
@@ -105,21 +109,19 @@ def sweep_threshold(
 ) -> tuple[list[SimOutcome], float]:
     """Every threshold's outcome from one pass, plus the objective-maximizing threshold.
 
-    The trace and the ascending grid are checked once. The per-step
-    throughput and energy start all-on. A step with utilization u first
-    sleeps at the threshold whose index is the count of grid values <= u;
-    the steps below the grid's top are stably sorted by that index, so each
-    threshold overwrites only its own contiguous run of them with their
-    sleeping values. Every element then equals what that threshold's
-    ``np.where`` over the whole trace would give, so each outcome equals a
-    separate whole-trace simulation bit for bit. Ties on the objective
-    resolve to the lowest threshold.
+    The trace and the ascending grid are checked once. A step with
+    utilization u first sleeps at the threshold whose index is the count of
+    grid values <= u; the steps below the grid's top are stably sorted by
+    that index, so each threshold writes the sleeping throughput of only its
+    own contiguous run of them into the all-on throughput, as its
+    ``np.where`` over the whole trace would. ``e_bar`` is the closed form of
+    the sleep count, exact under the module docstring's condition. Ties on
+    the objective resolve to the lowest threshold.
     """
     u = _check_utilization(u)
     th = _check_thresholds(thresholds)
     throughput = u * cfg.c_cap
     np.minimum(throughput, cfg.c_cap, out=throughput)
-    energy = np.full(u.size, cfg.e_on, dtype=np.float64)
     steps = np.flatnonzero(u < th[-1])  # the steps that sleep at some threshold
     u_below = u[steps]
     # the smallest unsigned dtype that holds the grid size, so the stable
@@ -135,16 +137,13 @@ def sweep_threshold(
     np.multiply(cfg.alpha, asleep_throughput, out=asleep_throughput)
     # ends[k]: how many steps sleep at threshold k
     ends = np.cumsum(np.bincount(first_asleep, minlength=th.size)).tolist()
-    outcomes, start = [], 0
-    for t, end in zip(th.tolist(), ends):
-        falling_asleep = steps[start:end]
-        throughput[falling_asleep] = asleep_throughput[start:end]
-        energy[falling_asleep] = cfg.e_off
-        r_bar = float(throughput.mean())
-        e_bar = float(energy.mean())
+    outcomes = []
+    for t, start, end in zip(th.tolist(), [0] + ends, ends):
+        throughput[steps[start:end]] = asleep_throughput[start:end]
+        r_bar = float(np.add.reduce(throughput)) / u.size
+        e_bar = _mean_energy(end, u.size, cfg)
         objective = (1.0 - cfg.lam) * r_bar - cfg.lam * e_bar
         outcomes.append(SimOutcome(t, r_bar, e_bar, objective, end))
-        start = end
     best = int(np.argmax([o.objective for o in outcomes]))
     return outcomes, outcomes[best].threshold
 
@@ -163,9 +162,9 @@ def compare_decisions(
 ) -> DecisionErrors:
     """Compare forecast-driven decisions against perfect-foresight decisions.
 
-    Energies apply each decision sequence to the true trace; since energy
-    depends only on the on/off state, the error reduces to the activation
-    count difference times (e_on - e_off) / T, reported in Wh.
+    Energies apply each decision sequence to the true trace. Each mean energy
+    is the closed form of its sleep count (see the module docstring), so the
+    error reduces to the sleep count difference times (e_on - e_off) / T, in Wh.
     """
     u_true = _check_utilization(u_true)
     u_forecast = _check_utilization(u_forecast)
@@ -176,8 +175,7 @@ def compare_decisions(
     th = _check_thresholds(u_th)[0]
     on_true = u_true >= th
     on_fc = u_forecast >= th
-    sleep_err = abs(int(np.count_nonzero(on_true)) - int(np.count_nonzero(on_fc)))
     mismatch = int(np.count_nonzero(on_fc != on_true))
-    energy_true = np.where(on_true, cfg.e_on, cfg.e_off).mean()
-    energy_fc = np.where(on_fc, cfg.e_on, cfg.e_off).mean()
-    return DecisionErrors(sleep_err, mismatch, float(abs(energy_fc - energy_true)))
+    s_true, s_fc = (u_true.size - int(np.count_nonzero(on)) for on in (on_true, on_fc))
+    e_true, e_fc = (_mean_energy(s, u_true.size, cfg) for s in (s_true, s_fc))
+    return DecisionErrors(abs(s_fc - s_true), mismatch, abs(e_fc - e_true))

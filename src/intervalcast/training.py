@@ -415,8 +415,10 @@ def train(
     """
     if len(train_samples) == 0 or len(val_samples) == 0:
         raise TrainingError("training and validation splits must be non-empty")
-    if epochs < 1 or batch_size < 1 or patience < 1:
-        raise ConfigError("epochs, batch_size and patience must be >= 1")
+    for name, value in [("epochs", epochs), ("batch_size", batch_size),
+                        ("patience", patience)]:
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     _, w, n = train_samples.history.shape
     tau = train_samples.target.shape[1]
     params = init(kind, (w, tau, n), seed, hidden=hidden, kernel=kernel,

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,21 +110,39 @@ def test_sweep_threshold_argmax_matches_bruteforce():
     assert best_r == 0.0
 
 
-def test_sweep_threshold_keeps_no_per_step_arrays():
-    # four per-step arrays kept for each of 26 thresholds of a 100k-step trace
-    # would take 83 MB; with aggregates only, the sweep peaks at its fixed set
-    # of per-step arrays: the running throughput and energy, plus the index,
-    # utilization, first sleeping threshold, sort order and sleeping
-    # throughput of the steps below the top threshold
-    u = np.random.default_rng(6).uniform(0, 0.05, 100_000)
+def _peak_bytes(fn, *args):
+    """The call's result and the peak of what it allocated, per tracemalloc."""
     tracemalloc.start()
     try:
-        outcomes, _ = sweep_threshold(u, default_threshold_grid(), CFG)
+        result = fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_sweep_threshold_keeps_no_per_step_arrays():
+    # four per-step arrays kept for each of 26 thresholds of a 100k-step trace
+    # would take 83 MB; with aggregates only, the sweep peaks at its fixed set
+    # of per-step arrays: the running throughput (0.8 MB), plus the index,
+    # utilization, first sleeping threshold, sort order and sleeping
+    # throughput of the half of the steps below the top threshold. A running
+    # energy array would add another 0.8 MB.
+    u = np.random.default_rng(6).uniform(0, 0.05, 100_000)
+    (outcomes, _), peak = _peak_bytes(sweep_threshold, u, default_threshold_grid(), CFG)
     assert len(outcomes) == 26
-    assert peak < 16e6
+    assert peak < 3.2e6
+
+
+def test_compare_decisions_allocates_less_than_one_trace():
+    # three boolean arrays (each side's decisions and their mismatches) of
+    # 0.1 MB each, and no per-step energy array (0.8 MB in float64)
+    rng = np.random.default_rng(6)
+    u_true = rng.uniform(0, 0.05, 100_000)
+    u_fc = np.clip(u_true + rng.normal(0.0, 0.005, u_true.size), 0.0, 1.0)
+    errs, peak = _peak_bytes(compare_decisions, u_true, u_fc, 0.02, CFG)
+    assert errs.mismatch_steps > 0
+    assert peak < u_true.nbytes
 
 
 def _reference_trace(seed: int, grid: np.ndarray) -> np.ndarray:
@@ -172,6 +192,53 @@ def test_sweep_with_every_step_asleep_at_first_positive_threshold_equals_referen
     got = sweep_threshold(u, grid, cfg)
     assert got == per_threshold_sweep(u, grid, cfg)
     assert [o.sleep_steps for o in got[0]] == [0] + [u.size] * (grid.size - 1)
+
+
+def _closed_form_cases():
+    """The default grid, and three reference traces and one that sleeps from
+    the grid's second threshold on, each with a noisy forecast."""
+    grid = default_threshold_grid()
+    traces = [_reference_trace(seed, grid) for seed in range(3)]
+    traces.append(np.random.default_rng(10).uniform(0.0, grid[1], 500))
+    rng = np.random.default_rng(11)
+    return grid, [(u, np.clip(u + rng.normal(0.0, 0.005, u.size), 0.0, 1.0)) for u in traces]
+
+
+@pytest.mark.parametrize("e_on, e_off", [(1266.5, 320.25), (1000.0, 1.0)])
+def test_closed_form_energy_equals_reference_at_dyadic_energies(e_on, e_off):
+    cfg = EnergySimConfig(e_on=e_on, e_off=e_off)
+    grid, cases = _closed_form_cases()
+    for u, u_fc in cases:
+        assert sweep_threshold(u, grid, cfg) == per_threshold_sweep(u, grid, cfg)
+        for th in grid:
+            assert compare_decisions(u, u_fc, float(th), cfg) == per_threshold_compare(
+                u, u_fc, float(th), cfg
+            )
+    all_asleep = sweep_threshold(cases[-1][0], grid, cfg)[0][1:]
+    assert {(o.sleep_steps, o.e_bar) for o in all_asleep} == {(500, e_off)}
+
+
+@pytest.mark.parametrize("e_on, e_off", [(1266.3, 320.7), (1000.1, 0.3)])
+def test_closed_form_energy_within_2_ulp_of_exact_at_other_energies(e_on, e_off):
+    cfg = EnergySimConfig(e_on=e_on, e_off=e_off)
+
+    def exact(asleep: int, steps: int) -> Fraction:
+        return ((steps - asleep) * Fraction(e_on) + asleep * Fraction(e_off)) / steps
+
+    def ulp(x: Fraction) -> Fraction:
+        return Fraction(math.ulp(float(x)))
+
+    grid, cases = _closed_form_cases()
+    for u, u_fc in cases:
+        for o in sweep_threshold(u, grid, cfg)[0]:
+            want = exact(o.sleep_steps, u.size)
+            assert abs(Fraction(o.e_bar) - want) <= 2 * ulp(want)
+        for th in grid:
+            errs = compare_decisions(u, u_fc, float(th), cfg)
+            e_true = exact(int(np.count_nonzero(u < th)), u.size)
+            e_fc = exact(int(np.count_nonzero(u_fc < th)), u.size)
+            want = abs(e_fc - e_true)
+            assert abs(Fraction(errs.energy_error_wh) - want) <= 4 * ulp(max(e_true, e_fc))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -0.01, 1.5])

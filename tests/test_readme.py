@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from intervalcast.cli import build_parser
+from intervalcast.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,3 +50,18 @@ def test_readme_commands_parse():
     for argv in commands:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+def test_readme_energy_commands_run(tmp_path, monkeypatch):
+    # every generate and energy line of the block, run in order, writes the
+    # traces that the energy lines read
+    monkeypatch.chdir(tmp_path)
+    commands = [argv for argv in _cli_commands() if argv[0] in ("generate", "energy")]
+    assert [argv[0] for argv in commands].count("energy") == 2
+    for argv in commands:
+        assert main(argv) == 0, argv
+    thresholds = (tmp_path / "runs/th/thresholds.csv").read_text().splitlines()
+    decisions = (tmp_path / "runs/cmp/decision_errors.csv").read_text().splitlines()
+    assert len(thresholds) == 1 + 26 + 1  # header, one row per threshold, footer
+    assert thresholds[-1].startswith("# best_threshold=")
+    assert len(decisions) == 1 + 26

@@ -419,7 +419,7 @@ def test_train_rejects_empty_split():
 def test_train_rejects_non_positive_loop_settings(setting):
     # the CLI rejects these as their flags are parsed; library callers get this
     tr, va, _ = _synth_splits()
-    with pytest.raises(ConfigError, match="epochs, batch_size and patience must be >= 1"):
+    with pytest.raises(ConfigError, match=f"^{setting} must be >= 1, got 0$"):
         train(PolicyConfig("b"), "mlp", tr[:40], va[:10], 0, hidden=4, **{setting: 0})
 
 
