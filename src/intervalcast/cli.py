@@ -399,7 +399,6 @@ def _read_utilization(path: str) -> np.ndarray:
 def cmd_energy(args) -> int:
     if [bool(args.truth), bool(args.forecast)] != [not args.trace] * 2:
         raise ConfigError("energy takes either --trace or both --truth and --forecast")
-    out = _out_dir(args)
     cfg = EnergySimConfig(
         c_cap=args.c_cap, c_cov=args.c_cov, alpha=args.alpha,
         e_on=args.e_on, e_off=args.e_off, lam=vars(args)["lambda"],
@@ -408,6 +407,8 @@ def cmd_energy(args) -> int:
         u = _read_utilization(args.trace)
         outcomes, best = sweep_threshold(u, args.thresholds, cfg)
         rows = [(o.threshold, o.r_bar, o.e_bar, o.objective, o.sleep_steps) for o in outcomes]
+        # made once every input is checked, so a failed run leaves no empty directory
+        out = _out_dir(args)
         write_rows(out / "thresholds.csv",
                    ["threshold", "r_bar", "e_bar", "objective", "sleep_steps"],
                    rows + [(f"# best_threshold={best!r}",)])
@@ -419,6 +420,7 @@ def cmd_energy(args) -> int:
     for th in args.thresholds:
         errs = compare_decisions(u_true, u_fc, float(th), cfg)
         rows.append((th, errs.sleep_duration_error, errs.mismatch_steps, errs.energy_error_wh))
+    out = _out_dir(args)
     write_rows(out / "decision_errors.csv",
                ["threshold", "sleep_duration_error", "mismatch_steps", "energy_error_wh"], rows)
     print(f"wrote {out / 'decision_errors.csv'}")

@@ -233,9 +233,7 @@ def generate_synthds(seed: int, noise_sd: float = SYNTH_NOISE_SD) -> TimeSeries:
     blocks = np.stack([np.concatenate([input_seg, synth_hypothesis(k)])
                        for k in range(SYNTH_CLASSES)])
     count = -(-SYNTH_LENGTH // blocks.shape[1])
-    # one scalar draw per block, in order, so the random stream stays as it was
-    ks = [int(rng.integers(0, SYNTH_CLASSES)) for _ in range(count)]
-    trace = blocks[ks].ravel()[:SYNTH_LENGTH]
+    trace = blocks[rng.integers(0, SYNTH_CLASSES, size=count)].ravel()[:SYNTH_LENGTH]
     if noise_sd > 0:
         trace = trace + rng.normal(noise_sd, noise_sd, size=trace.size)
     return TimeSeries(trace.reshape(-1, 1), ("synth",), 1.0)

@@ -75,11 +75,10 @@ VALIDATION_PROBE_CELLS = 4  # probe partition for the continuous policy
 _LOOP_SEED_OFFSET = 0x9E3779B9
 
 # Version 3 stores the weights as one base64 string of little-endian float64
-# bytes, which loads several times faster than a list of JSON float literals.
-# Versions 1 and 2 hold that list and still load; version 2 dropped the AdamW
-# moments, which only resuming training would read, so version 1's are ignored.
+# bytes, which loads several times faster than the list of JSON float
+# literals that versions 1 and 2 held. Only version 3 loads; an older file
+# fails with the version error, naming the file.
 CHECKPOINT_VERSION = 3
-_READABLE_CHECKPOINT_VERSIONS = (1, 2, CHECKPOINT_VERSION)
 
 # Cache blocking. An AdamW block of 16k entries keeps its six 128 KB
 # vector slices in L2 across the update's passes. The row blocks of
@@ -501,17 +500,17 @@ def _policy_doc(policy: PolicyConfig) -> dict:
 
 
 def _policy_from_doc(doc: dict) -> PolicyConfig:
-    nu = doc.get("nu")
+    nu = doc["nu"]
     return PolicyConfig(
         kind=doc["kind"],
         task_interval=(
-            Interval(*doc["task_interval"]) if doc.get("task_interval") else None
+            Interval(*doc["task_interval"]) if doc["task_interval"] else None
         ),
-        delta=doc.get("delta"),
-        partition=DiscretePartition(doc["L"]) if doc.get("L") else None,
+        delta=doc["delta"],
+        partition=DiscretePartition(doc["L"]) if doc["L"] else None,
         nu=None if nu is None else DecaySpec(math.inf if nu == "inf" else float(nu)),
-        phi=doc.get("phi"),
-        weight_decay=doc.get("weight_decay", 0.0),
+        phi=doc["phi"],
+        weight_decay=doc["weight_decay"],
     )
 
 
@@ -540,35 +539,34 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, int, PolicyConfig]:
     """Read a checkpoint: the parameters, the AdamW update count and the policy.
 
-    Reads the current version, whose weights are a base64 string of
-    little-endian float64 bytes, and versions 1 and 2, whose weights are a
-    list of floats; version 1's AdamW moments are ignored. A file that is
-    not valid JSON, that lacks a field or holds one of the wrong type (a
-    list in place of an object, say), whose weights are not valid base64,
-    not all finite or not as many as the architecture needs raises
-    :class:`FormatError` naming the file; a version that is not one of the
-    readable JSON integers raises :class:`ConfigError` naming the file.
+    Reads only the current version, whose weights are a base64 string of
+    little-endian float64 bytes, and requires every key that
+    :func:`save_checkpoint` writes. A file that is not valid JSON, that
+    lacks a key or holds one of the wrong type (a list in place of an
+    object, say), whose weights are not valid base64, not all finite or not
+    as many as the architecture needs raises :class:`FormatError` naming
+    the file; a version other than the JSON integer 3, such as a file of
+    version 1 or 2, raises :class:`ConfigError` naming the file and the
+    version. An older file converts by passing its weights, update count
+    and policy to :func:`save_checkpoint`.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        version = doc.get("version")
-        # a JSON integer only: true and 3.0 compare equal to a readable version
-        if type(version) is not int or version not in _READABLE_CHECKPOINT_VERSIONS:
+        version = doc["version"]
+        # a JSON integer only: true and 3.0 compare equal to the version
+        if type(version) is not int or version != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version!r} in {path}")
         a = doc["arch"]
         arch = ModelArch(
             kind=a["kind"], w=a["w"], tau=a["tau"], n=a["n"],
             hidden=a["hidden"], kernel=a["kernel"], use_covariate=a["use_covariate"],
         )
-        theta = doc["theta"]
-        if version == CHECKPOINT_VERSION:
-            try:
-                theta = base64.b64decode(theta, validate=True)
-            except binascii.Error as exc:  # its class name alone reads "Error"
-                raise ValueError(f"theta is not valid base64: {exc}") from exc
-            theta = np.frombuffer(theta, "<f8")
+        try:
+            theta = base64.b64decode(doc["theta"], validate=True)
+        except binascii.Error as exc:  # its class name alone reads "Error"
+            raise ValueError(f"theta is not valid base64: {exc}") from exc
         # a writable copy in native byte order
-        params = ModelParams(arch, np.array(theta, dtype=np.float64))
+        params = ModelParams(arch, np.frombuffer(theta, "<f8").astype(np.float64))
         if not np.isfinite(params.theta).all():
             raise ValueError("theta holds a non-finite weight")
         steps = operator.index(doc["optimizer"]["step"])

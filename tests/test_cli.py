@@ -2,6 +2,7 @@ import base64
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,6 +493,26 @@ def test_energy_length_mismatch(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code != 0
     assert "lengths differ" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args,error", [
+    (["--trace", "missing.csv"], "FileNotFoundError"),
+    (["--trace", "t.csv", "--c-cap", "-1"], "c_cap must be a positive finite capacity"),
+    (["--trace", "high.csv"], "utilization must lie in [0, 1]"),
+    (["--trace", "t.csv", "--thresholds", "0.5:0.1:3"], "thresholds must be sorted ascending"),
+    (["--truth", "t.csv", "--forecast", "missing.csv"], "FileNotFoundError"),
+], ids=["missing_trace", "bad_config", "trace_out_of_range", "descending_grid",
+        "missing_forecast"])
+def test_energy_checks_its_inputs_before_making_out(tmp_path, capsys, monkeypatch, args, error):
+    # each input used to be read or checked after --out was made, leaving it empty
+    monkeypatch.chdir(tmp_path)
+    Path("t.csv").write_text("u\n0.1\n0.2\n")
+    Path("high.csv").write_text("u\n1.5\n")
+    assert main(["energy", *args, "--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and error in err
+    assert not Path("o").exists()
 
 
 def test_config_file_provides_defaults_and_flags_override(tmp_path):

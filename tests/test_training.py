@@ -597,87 +597,87 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert (tmp_path / "ck.json").read_bytes() == (tmp_path / "ck2.json").read_bytes()
 
 
-def test_checkpoint_version_1_still_loads(tmp_path):
-    # a version-1 file also holds the AdamW moments; they are ignored
-    params = init("mlp", (4, 2, 1), 3, hidden=3)
-    theta = params.theta.tolist()
-    doc = {
-        "version": 1,
-        "arch": {"kind": "mlp", "w": 4, "tau": 2, "n": 1, "hidden": 3, "kernel": 25,
-                 "use_covariate": True},
-        "theta": theta,
-        "optimizer": {"step": 7, "m": [0.5] * len(theta), "v": [0.25] * len(theta)},
-        "policy": {"kind": "dstar", "task_interval": None, "delta": None, "L": 2,
-                   "nu": "inf", "phi": 0.5, "weight_decay": 0.01},
-    }
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(doc))
-    loaded_params, steps, policy = load_checkpoint(path)
-    assert np.array_equal(loaded_params.theta, params.theta)
-    assert loaded_params.arch == params.arch
-    assert steps == 7
-    assert policy == PolicyConfig(
-        "dstar", partition=DiscretePartition(2), nu=DecaySpec(math.inf), phi=0.5,
-        weight_decay=0.01,
-    )
-
-
 def test_checkpoint_unknown_version_names_file(tmp_path):
     params = init("mlp", (4, 2, 1), 0, hidden=3)
     path = tmp_path / "ck.json"
     save_checkpoint(path, params, 0, PolicyConfig("b"))
     doc = json.loads(path.read_text())
-    # true and the floats compare equal to a readable version, and used to load
-    for version in (4, True, 1.0, 2.0, 3.0):
-        path.write_text(json.dumps({**doc, "version": version}))
-        with pytest.raises(ConfigError) as err:
-            load_checkpoint(path)
-        assert str(path) in str(err.value) and f"version {version!r}" in str(err.value)
-
-
-def _v2_doc(theta: list) -> dict:
-    """A version-2 checkpoint of a (4, 2, 1) mlp with 3 hidden units, weights as floats."""
-    return {
+    arch = {"kind": "mlp", "w": 4, "tau": 2, "n": 1, "hidden": 3, "kernel": 25,
+            "use_covariate": True}
+    theta = params.theta.tolist()
+    # versions 1 and 2 held the weights as a list of floats, and version 1
+    # the AdamW moments too; both used to load
+    v1 = {
+        "version": 1,
+        "arch": arch,
+        "theta": theta,
+        "optimizer": {"step": 7, "m": [0.5] * len(theta), "v": [0.25] * len(theta)},
+        "policy": {"kind": "dstar", "task_interval": None, "delta": None, "L": 2,
+                   "nu": "inf", "phi": 0.5, "weight_decay": 0.01},
+    }
+    v2 = {
         "version": 2,
-        "arch": {"kind": "mlp", "w": 4, "tau": 2, "n": 1, "hidden": 3, "kernel": 25,
-                 "use_covariate": True},
+        "arch": arch,
         "theta": theta,
         "optimizer": {"step": 7},
         "policy": {"kind": "b", "task_interval": None, "delta": None, "L": None,
                    "nu": None, "phi": None, "weight_decay": 0.0},
     }
+    # true and the floats compare equal to the version, and used to load
+    docs = [v1, v2] + [{**doc, "version": version} for version in (4, True, 1.0, 2.0, 3.0)]
+    for written in docs:
+        path.write_text(json.dumps(written))
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+        assert f"version {written['version']!r}" in str(err.value)
 
 
-def test_checkpoint_version_2_still_loads_bit_exact(tmp_path):
-    params = init("mlp", (4, 2, 1), 3, hidden=3)
-    path = tmp_path / "v2.json"
-    path.write_text(json.dumps(_v2_doc(params.theta.tolist())))
-    loaded_params, steps, policy = load_checkpoint(path)
-    assert loaded_params.theta.tobytes() == params.theta.tobytes()
-    assert loaded_params.theta.flags.writeable
-    assert loaded_params.arch == params.arch
-    assert steps == 7 and policy == PolicyConfig("b")
+@pytest.mark.parametrize("key", [
+    "version", "arch", "theta", "optimizer", "optimizer.step", "policy",
+    "policy.kind", "policy.task_interval", "policy.delta", "policy.L", "policy.nu",
+    "policy.phi", "policy.weight_decay",
+])
+def test_checkpoint_missing_key_names_file(tmp_path, key):
+    # every key that save_checkpoint writes is required: a missing version
+    # used to read as an unsupported one, and a missing policy key used to
+    # default to None (weight_decay to 0.0) and load or fail naming no file
+    params = init("mlp", (4, 2, 1), 0, hidden=3)
+    policy = PolicyConfig("dstar", partition=DiscretePartition(2), nu=DecaySpec(37.0),
+                          phi=0.5, weight_decay=0.01)
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, params, 7, policy)
+    doc = json.loads(path.read_text())
+    *parents, name = key.split(".")
+    owner = doc
+    for parent in parents:
+        owner = owner[parent]
+    del owner[name]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: malformed checkpoint: KeyError: '{name}'"
 
 
 def _v3_theta(values: np.ndarray) -> str:
     return base64.b64encode(values.astype("<f8").tobytes()).decode()
 
 
-@pytest.mark.parametrize("version,theta,reason", [
-    (2, lambda t: t[:-1].tolist(), "architecture needs 37"),
-    (2, lambda t: t.tolist() + [0.5], "architecture needs 37"),
-    (3, lambda t: _v3_theta(t[:-1]), "architecture needs 37"),
-    (3, lambda t: _v3_theta(t)[:-8] + "AAAA", "multiple of element size"),
-    (3, lambda t: t.tolist(), "TypeError"),
-    (3, lambda t: _v3_theta(t)[:-1] + "!", "ValueError: theta is not valid base64"),
-], ids=["v2_short", "v2_long", "v3_short", "v3_partial_weight", "v3_not_a_string",
-        "v3_invalid_base64"])
-def test_checkpoint_with_bad_weights_names_file(tmp_path, version, theta, reason):
+@pytest.mark.parametrize("theta,reason", [
+    (lambda t: _v3_theta(t[:-1]), "architecture needs 37"),
+    (lambda t: _v3_theta(np.append(t, 0.5)), "architecture needs 37"),
+    (lambda t: _v3_theta(t)[:-8] + "AAAA", "multiple of element size"),
+    (lambda t: t.tolist(), "TypeError"),
+    (lambda t: _v3_theta(t)[:-1] + "!", "ValueError: theta is not valid base64"),
+], ids=["v3_short", "v3_long", "v3_partial_weight", "v3_not_a_string", "v3_invalid_base64"])
+def test_checkpoint_with_bad_weights_names_file(tmp_path, theta, reason):
     # a weight count that differs from the architecture's used to raise a
     # bare DimensionError that named no file
     params = init("mlp", (4, 2, 1), 3, hidden=3)
     path = tmp_path / "ck.json"
-    path.write_text(json.dumps({**_v2_doc(theta(params.theta)), "version": version}))
+    save_checkpoint(path, params, 7, PolicyConfig("b"))
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "theta": theta(params.theta)}))
     with pytest.raises(FormatError) as err:
         load_checkpoint(path)
     assert str(err.value).startswith(f"{path}: malformed checkpoint")
