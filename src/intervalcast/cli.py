@@ -128,7 +128,7 @@ def _parse_sweep(text: str) -> tuple[str, list]:
     param, values = text.split("=", 1)
     param = param.strip().lower()
     if param == "l":
-        return "L", _parse_int_list(values, "--sweep L")
+        return "L", _int_flag("--sweep L", 1, many=True)(values)
     if param == "nu":
         return "nu", [_parse_nu(v) for v in values.split(",")]
     if param == "delta":
@@ -438,15 +438,16 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise-sd", type=float, default=None, help="synthetic noise level (0.05)")
     p.add_argument("--domain-max", type=float, default=None,
                    help="value-domain maximum for CSV data (1)")
-    p.add_argument("--channels", type=int, default=None, help="channel crop for CSV data (100)")
-    p.add_argument("--stride", type=int, default=1, help="window stride")
+    p.add_argument("--channels", type=_int_flag("--channels", 1), default=None,
+                   help="channel crop for CSV data (100)")
+    p.add_argument("--stride", type=_int_flag("--stride", 1), default=1, help="window stride")
     p.add_argument("--split", type=_parse_split, default="66,17,17",
                    help="train,val,test fractions")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--w", type=int, default=48, help="history window length")
-    p.add_argument("--tau", type=int, default=24, help="forecast horizon")
+    p.add_argument("--w", type=_int_flag("--w", 1), default=48, help="history window length")
+    p.add_argument("--tau", type=_int_flag("--tau", 1), default=24, help="forecast horizon")
     p.add_argument("--model", choices=("mlp", "linear"), default="mlp")
     p.add_argument("--hidden", type=_int_flag("--hidden", 1), default=64, help="mlp hidden width")
     p.add_argument("--kernel", type=_int_flag("--kernel", 1), default=25,
@@ -461,7 +462,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--interval", type=_parse_interval, default=None,
                    help="task interval 'lo,hi' (e2e)")
     p.add_argument("--delta", type=float, default=None, help="minimum interval length (c)")
-    p.add_argument("--L", type=int, default=None, help="partition size (d, dstar)")
+    p.add_argument("--L", type=_int_flag("--L", 1), default=None, help="partition size (d, dstar)")
     p.add_argument("--nu", type=_parse_nu, default=None, help="decay rate or 'inf' (dstar)")
     p.add_argument("--phi", type=float, default=None, help="classification weight (dstar)")
 
@@ -498,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("eval", cmd_eval, "per-interval comparison table for checkpoints")
     p.add_argument("--checkpoints", type=_parse_paths, default=None,
                    help="comma-separated checkpoint paths")
-    p.add_argument("--L", type=int, default=4, help="evaluation partition size")
+    p.add_argument("--L", type=_int_flag("--L", 1), default=4, help="evaluation partition size")
     p.add_argument("--strategy", choices=STRATEGIES, default=STRATEGY_AVERAGE)
     p.add_argument("--native", action="store_true",
                    help="report MAE in the data's units (times its domain maximum)")
@@ -509,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'L=4,8,16,32', 'nu=0,1,2,5,inf', or 'delta=0:0.4:9'")
     p.add_argument("--seeds", type=_int_flag("--seeds", 0, many=True), default="0",
                    help="comma-separated training seeds")
-    p.add_argument("--eval-L", type=int, default=4, help="evaluation partition size")
+    p.add_argument("--eval-L", type=_int_flag("--eval-L", 1), default=4,
+                   help="evaluation partition size")
     _add_data_flags(p)
     _add_model_flags(p)
     _add_train_flags(p)

@@ -10,17 +10,18 @@ Two small architectures stand in for the published deep models:
 
 Both partition their output into regression values (first tau per channel)
 and classification logits (remaining tau). Gradients are hand-derived and
-validated against finite differences.
+validated against finite differences. A model's parameters are one flat
+vector, the one a checkpoint stores. :func:`_layout` states, once per kind,
+each named matrix and vector in that vector's order; the parameter count,
+the named views and the initial weights are all read from it.
 
 The interval enters either model only as its two covariate entries, so the
-first layer is computed as a history term (:func:`project_histories`) plus
-a covariate term. :func:`forward_batch` conditions each history on its own
-interval; :func:`forward_cells` conditions every history on each of K
-intervals from one history term. Both run the same arithmetic. A
-:class:`Projection` can be forwarded any number of times: serving
-(:func:`patching.forecast_each`) projects a stack of histories once and
-forwards each query's cells from it. The probability head's sigmoid takes
-one exp per entry and no per-entry branch.
+first layer is a history term (:func:`project_histories`) plus a covariate
+term. :func:`forward_batch` conditions each history on its own interval and
+:func:`forward_cells` every history on each of K intervals, with the same
+arithmetic. Serving (:func:`patching.forecast_each`) projects a stack of
+histories once and forwards each query's cells from that
+:class:`Projection`. The sigmoid takes one exp per entry and no branch.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ PROB_CLAMP = 1e-12  # BCE probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP]
 
 @dataclass(frozen=True)
 class ModelArch:
-    """Architecture descriptor; fixes the parameter layout exactly."""
+    """Architecture descriptor; fixes the parameter layout (:func:`_layout`) exactly."""
 
     kind: str
     w: int
@@ -64,13 +65,20 @@ class ModelArch:
             raise ConfigError(f"moving-average kernel must be >= 1, got {self.kernel}")
 
     def param_count(self) -> int:
-        if self.kind == KIND_MLP:
-            d_in = self.w * self.n + 2
-            d_out = 2 * self.tau * self.n
-            return self.hidden * d_in + self.hidden + d_out * self.hidden + d_out
-        d_in = self.w + 2
-        d_out = 2 * self.tau
-        return 2 * (d_out * d_in + d_out)
+        return sum(math.prod(shape) for shape in _layout(self).values())
+
+
+def _layout(arch: ModelArch) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape, in flat-vector order: the checkpoint's layout.
+
+    The last two columns of ``W1``, ``Wt`` and ``Wr`` take the covariate (lo, hi).
+    """
+    if arch.kind == KIND_MLP:
+        d_in, d_out = arch.w * arch.n + 2, 2 * arch.tau * arch.n
+        return {"W1": (arch.hidden, d_in), "b1": (arch.hidden,),
+                "W2": (d_out, arch.hidden), "b2": (d_out,)}
+    d_in, d_out = arch.w + 2, 2 * arch.tau
+    return {"Wt": (d_out, d_in), "bt": (d_out,), "Wr": (d_out, d_in), "br": (d_out,)}
 
 
 @dataclass
@@ -106,56 +114,28 @@ class BatchDraw(NamedTuple):
 
 def init(kind: str, dims: tuple[int, int, int], seed: int, *,
          hidden: int = 64, kernel: int = 25, use_covariate: bool = True) -> ModelParams:
-    """Deterministic initialization: weights U[-s, s] with s = sqrt(1/fan_in), biases 0."""
-    w, tau, n = dims
-    arch = ModelArch(kind, w, tau, n, hidden=hidden, kernel=kernel,
-                     use_covariate=use_covariate)
+    """Deterministic initialization: weights U[-s, s] with s = sqrt(1/fan_in), biases 0.
+
+    The matrices of :func:`_layout` draw in layout order from one generator
+    seeded with ``seed``; a matrix's fan_in is its column count.
+    """
+    arch = ModelArch(kind, *dims, hidden=hidden, kernel=kernel, use_covariate=use_covariate)
     rng = np.random.default_rng(seed)
     theta = np.zeros(arch.param_count())
-    views = _unpack(arch, theta)
-    if kind == KIND_MLP:
-        d_in = w * n + 2
-        views["W1"][:] = rng.uniform(-1, 1, views["W1"].shape) * math.sqrt(1.0 / d_in)
-        views["W2"][:] = rng.uniform(-1, 1, views["W2"].shape) * math.sqrt(1.0 / arch.hidden)
-    else:
-        s = math.sqrt(1.0 / (w + 2))
-        views["Wt"][:] = rng.uniform(-1, 1, views["Wt"].shape) * s
-        views["Wr"][:] = rng.uniform(-1, 1, views["Wr"].shape) * s
+    for view in _unpack(arch, theta).values():
+        if view.ndim == 2:
+            view[:] = rng.uniform(-1, 1, view.shape) * math.sqrt(1.0 / view.shape[1])
     return ModelParams(arch, theta)
 
 
 def _unpack(arch: ModelArch, theta: np.ndarray) -> dict[str, np.ndarray]:
-    """Named views into the flat vector; the layout is part of the checkpoint format."""
-    if arch.kind == KIND_MLP:
-        d_in = arch.w * arch.n + 2
-        h = arch.hidden
-        d_out = 2 * arch.tau * arch.n
-        sizes = [h * d_in, h, d_out * h, d_out]
-        w1, b1, w2, b2 = _slices(theta, sizes)
-        return {
-            "W1": w1.reshape(h, d_in),
-            "b1": b1,
-            "W2": w2.reshape(d_out, h),
-            "b2": b2,
-        }
-    d_in = arch.w + 2
-    d_out = 2 * arch.tau
-    sizes = [d_out * d_in, d_out, d_out * d_in, d_out]
-    wt, bt, wr, br = _slices(theta, sizes)
-    return {
-        "Wt": wt.reshape(d_out, d_in),
-        "bt": bt,
-        "Wr": wr.reshape(d_out, d_in),
-        "br": br,
-    }
-
-
-def _slices(theta: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    out, start = [], 0
-    for s in sizes:
-        out.append(theta[start : start + s])
-        start += s
-    return out
+    """Named views into the flat vector, in the order and shapes of :func:`_layout`."""
+    views, stop = {}, 0
+    for name, shape in _layout(arch).items():
+        start, stop = stop, stop + math.prod(shape)
+        # a vector's slice is its view already; only a matrix is reshaped
+        views[name] = theta[start:stop] if len(shape) == 1 else theta[start:stop].reshape(shape)
+    return views
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import json
 import math
 import operator
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -547,8 +547,11 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int, PolicyConfig]:
     as many as the architecture needs raises :class:`FormatError` naming
     the file; a version other than the JSON integer 3, such as a file of
     version 1 or 2, raises :class:`ConfigError` naming the file and the
-    version. An older file converts by passing its weights, update count
-    and policy to :func:`save_checkpoint`.
+    version; a value that :class:`ModelArch` or :class:`PolicyConfig`
+    rejects (a kind not on the list, a width of 0) raises their
+    :class:`ConfigError` with the file's name put in front. An older file
+    converts by passing its weights, update count and policy to
+    :func:`save_checkpoint`.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -556,20 +559,20 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int, PolicyConfig]:
         # a JSON integer only: true and 3.0 compare equal to the version
         if type(version) is not int or version != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version!r} in {path}")
-        a = doc["arch"]
-        arch = ModelArch(
-            kind=a["kind"], w=a["w"], tau=a["tau"], n=a["n"],
-            hidden=a["hidden"], kernel=a["kernel"], use_covariate=a["use_covariate"],
-        )
         try:
-            theta = base64.b64decode(doc["theta"], validate=True)
-        except binascii.Error as exc:  # its class name alone reads "Error"
-            raise ValueError(f"theta is not valid base64: {exc}") from exc
-        # a writable copy in native byte order
-        params = ModelParams(arch, np.frombuffer(theta, "<f8").astype(np.float64))
-        if not np.isfinite(params.theta).all():
-            raise ValueError("theta holds a non-finite weight")
-        steps = operator.index(doc["optimizer"]["step"])
-        return params, steps, _policy_from_doc(doc["policy"])
+            a = doc["arch"]
+            arch = ModelArch(**{f.name: a[f.name] for f in fields(ModelArch)})
+            try:
+                theta = base64.b64decode(doc["theta"], validate=True)
+            except binascii.Error as exc:  # its class name alone reads "Error"
+                raise ValueError(f"theta is not valid base64: {exc}") from exc
+            # a writable copy in native byte order
+            params = ModelParams(arch, np.frombuffer(theta, "<f8").astype(np.float64))
+            if not np.isfinite(params.theta).all():
+                raise ValueError("theta holds a non-finite weight")
+            steps = operator.index(doc["optimizer"]["step"])
+            return params, steps, _policy_from_doc(doc["policy"])
+        except ConfigError as exc:  # a value that ModelArch or PolicyConfig rejects
+            raise ConfigError(f"{path}: {exc}") from exc
     except (AttributeError, KeyError, TypeError, ValueError, DimensionError) as exc:
         raise FormatError(f"{path}: malformed checkpoint: {type(exc).__name__}: {exc}") from exc

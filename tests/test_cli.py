@@ -7,8 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import intervalcast
+from intervalcast import PolicyConfig, init, save_checkpoint
 from intervalcast.cli import main
 from intervalcast.data import generate_synthds
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # sweep takes --seeds where train takes --seed, so each sweep test names its seeds
 FAST_MODEL = ["--w", "12", "--tau", "6", "--epochs", "3", "--hidden", "6"]
@@ -91,6 +95,53 @@ def test_negative_seed_fails_naming_its_flag(tmp_path, capsys, argv, flag, value
         f"error: ConfigError: {flag} must be >= {minimum}, got {value}\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["train", "--policy", "b"] + FAST_TRAIN + ["--w", "0"], "--w"),
+    (["train", "--policy", "b"] + FAST_TRAIN + ["--tau", "0"], "--tau"),
+    (["train", "--policy", "b"] + FAST_TRAIN + ["--stride", "0"], "--stride"),
+    (["train", "--policy", "d"] + FAST_TRAIN + ["--L", "0"], "--L"),
+    (["train", "--policy", "b"] + FAST_TRAIN + ["--channels", "0"], "--channels"),
+    (["sweep", "--sweep", "nu=1", "--seeds", "0"] + FAST_SWEEP + ["--L", "0"], "--L"),
+    (["sweep", "--sweep", "nu=1", "--seeds", "0"] + FAST_SWEEP + ["--eval-L", "0"], "--eval-L"),
+    (["sweep", "--sweep", "L=4,0", "--seeds", "0"] + FAST_SWEEP, "--sweep L"),
+    (["eval", "--checkpoints", "ck.json", "--L", "0"], "--L"),
+    (["eval", "--checkpoints", "ck.json", "--stride", "0"], "--stride"),
+    (["eval", "--checkpoints", "ck.json", "--channels", "0"], "--channels"),
+], ids=["train-w", "train-tau", "train-stride", "train-L", "train-channels", "sweep-L",
+        "sweep-eval-L", "sweep-L-value", "eval-L", "eval-stride", "eval-channels"])
+def test_integer_flag_below_one_fails_naming_it(tmp_path, capsys, argv, flag):
+    # a 0 used to fail later, naming a window config, a partition size or
+    # channel_limit instead of the flag; --channels 0 with synthetic data
+    # only warned and ran
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {flag} must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train"] + FAST_TRAIN, "--policy is required (flag or config file)"),
+    (["eval"], "--checkpoints must name at least one file"),
+    (["eval", "--checkpoints", ","], "--checkpoints must name at least one file"),
+    (["sweep", "--seeds", "0"] + FAST_SWEEP, "--sweep is required (flag or config file)"),
+])
+def test_command_without_its_required_input_fails_naming_it(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+    assert not out.exists()
+
+
+def test_version_matches_pyproject(capsys):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    version = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["version"]
+    assert intervalcast.__version__ == version
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{version}\n"
 
 
 def test_train_writes_artifacts(tmp_path):
@@ -252,6 +303,18 @@ def test_eval_names_a_checkpoint_whose_channels_differ_from_the_series(tmp_path,
     err = capsys.readouterr().err
     assert err == f"error: ConfigError: {path}: 2 channels, but the series has 1\n"
     assert not (tmp_path / "eval" / "eval_runs.csv").exists()
+
+
+def test_eval_names_a_checkpoint_whose_window_differs_from_the_first(tmp_path, capsys):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, dims in zip(paths, [(12, 6, 1), (12, 4, 1)]):
+        save_checkpoint(path, init("mlp", dims, 0, hidden=3), 0, PolicyConfig("b"))
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoints", f"{paths[0]},{paths[1]}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: {paths[1]}: window 12/4 differs from the first checkpoint's 12/6\n"
+    )
+    assert not out.exists()
 
 
 def test_eval_table_cell_is_mean_over_seeds(tmp_path):
@@ -550,6 +613,18 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
                  "--out", str(tmp_path / "o")] + FAST_TRAIN)
     assert code == 1
     assert capsys.readouterr().err == "error: ConfigError: unknown config key 'nonsense'\n"
+
+
+def test_config_file_line_without_equals_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# fast run\n\nepochs 3\n")
+    code = main(["train", "--policy", "b", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")] + FAST_TRAIN)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: {cfg}:3: expected KEY=VALUE, got 'epochs 3'\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_bad_value_fails_as_the_flag_would(tmp_path, capsys):

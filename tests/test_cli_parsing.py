@@ -74,6 +74,19 @@ def test_parse_thresholds():
         _parse_thresholds("0:0.025")
 
 
+@pytest.mark.parametrize("parse,text,message", [
+    (_parse_sweep, "L=4,x", "--sweep L expects comma-separated integers, got '4,x'"),
+    (_parse_sweep, "L=4,0", "--sweep L must be >= 1, got 0"),
+    (_parse_split, "a,b,c", "--split expects three numbers, got 'a,b,c'"),
+    (_parse_thresholds, "0:1:x", "bad --thresholds grid '0:1:x'"),
+    (_parse_thresholds, "0:1:0", "--thresholds grid count must be >= 1"),
+])
+def test_flag_parser_error_names_flag(parse, text, message):
+    with pytest.raises(ConfigError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 # A value other than the default for every flag that takes one, keyed by
 # dest; a new flag needs an entry here.
 FLAG_VALUES = {

@@ -120,6 +120,23 @@ def test_split_70_10_20():
     assert (len(train), len(val), len(test)) == (7, 1, 2)
 
 
+@pytest.mark.parametrize("values,names,message", [
+    (np.zeros((0, 2)), ("a", "b"), "series must be a T x n array with T,n >= 1, got shape (0, 2)"),
+    (np.zeros(3), ("a",), "series must be a T x n array with T,n >= 1, got shape (3,)"),
+    (np.zeros((3, 2)), ("a",), "1 channel names for 2 columns"),
+])
+def test_time_series_rejects_bad_shape(values, names, message):
+    with pytest.raises(DataError) as err:
+        TimeSeries(values, names, 1.0)
+    assert str(err.value) == message
+
+
+def test_split_rejects_empty_sample_list():
+    with pytest.raises(DataError) as err:
+        chrono_split(_dummy_samples(5)[:0], SplitSpec(0.66, 0.17, 0.17))
+    assert str(err.value) == "cannot split an empty sample list"
+
+
 def test_split_rejects_empty_subset():
     with pytest.raises(SplitError):
         chrono_split(_dummy_samples(3), SplitSpec(0.34, 0.33, 0.33))
@@ -283,6 +300,14 @@ def test_load_csv_channel_limit(tmp_path):
     assert series.n == 2
     assert series.channel_names == ("a", "b")
     assert np.array_equal(series.values, [[1.0, 2.0], [4.0, 5.0]])
+
+
+def test_load_csv_rejects_channel_limit_below_one(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("a\n0.5\n")
+    with pytest.raises(ConfigError) as err:
+        load_csv(str(path), channel_limit=0, domain_max=1.0)
+    assert str(err.value) == "channel_limit must be >= 1, got 0"
 
 
 def test_load_csv_parse_error_names_location(tmp_path):

@@ -316,6 +316,15 @@ def test_simulate_rejects_nan_utilization():
         compare_decisions(u, np.full(3, 0.5), 0.5, CFG)
 
 
+def test_sweep_rejects_empty_trace_and_empty_grid():
+    with pytest.raises(DataError) as err:
+        sweep_threshold(np.array([]), [0.01], CFG)
+    assert str(err.value) == "utilization trace is empty"
+    with pytest.raises(ConfigError) as err:
+        sweep_threshold(np.array([0.5]), [], CFG)
+    assert str(err.value) == "threshold grid is empty"
+
+
 def test_compare_rejects_length_mismatch():
     with pytest.raises(DataError):
         compare_decisions(np.zeros(3), np.zeros(4), 0.5, CFG)

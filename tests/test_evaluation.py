@@ -19,6 +19,7 @@ from intervalcast.errors import (
     ConfigError,
     DataError,
     DegenerateConfidenceError,
+    DimensionError,
     UnsupportedQueryError,
 )
 from intervalcast.intervals import entries_inside
@@ -56,6 +57,12 @@ def test_interval_mae_empty_signal():
     m = interval_mae(targets, targets, Interval(0.0, 0.25))
     assert m.mae is None
     assert m.covered_entries == 0
+
+
+def test_interval_mae_rejects_shape_mismatch():
+    with pytest.raises(DimensionError) as err:
+        interval_mae(np.zeros((2, 2)), np.zeros((2, 3)), Interval(0.0, 1.0))
+    assert str(err.value) == "shape mismatch (2, 2) vs (2, 3)"
 
 
 def test_membership_upper_exclusive_except_last():

@@ -16,7 +16,9 @@ from intervalcast import (
 from intervalcast.errors import ConfigError, DimensionError, NumericError
 from intervalcast.models import (
     BatchDraw,
+    ModelArch,
     ModelParams,
+    _layout,
     _sigmoid,
     _unpack,
     backward,
@@ -28,6 +30,7 @@ from intervalcast.models import (
 from assembled_gradient import assembled_backward
 from concat_forward import concat_forward
 from fd_check import check_gradient
+from per_kind_init import per_kind_init, per_kind_param_count, per_kind_unpack
 
 DIMS = (6, 3, 2)  # w, tau, n
 
@@ -361,6 +364,70 @@ def test_gradient_check_representative(kind):
     f = lambda th: backward(ModelParams(params.arch, th), H, Y, draw, 0.5)[0]
     report = check_gradient(f, params.theta, grad, step=1e-5, tol=1e-5)
     assert report.passed
+
+
+def _view_spans(views: dict, theta: np.ndarray) -> list:
+    """Each view's name, shape and offset (in entries) into ``theta``."""
+    base = theta.__array_interface__["data"][0]
+    return [(name, v.shape, (v.__array_interface__["data"][0] - base) // theta.itemsize)
+            for name, v in views.items()]
+
+
+@pytest.mark.parametrize("kind", ["mlp", "linear"])
+@pytest.mark.parametrize("dims,hidden,kernel", [
+    ((48, 24, 1), 64, 25), ((96, 24, 50), 64, 25), ((5, 3, 2), 64, 25), ((1, 1, 1), 64, 25),
+    ((5, 3, 2), 7, 3), ((12, 6, 3), 1, 1), ((1, 1, 1), 130, 49),
+])
+@pytest.mark.parametrize("use_covariate", [True, False])
+def test_layout_equals_per_kind_reference(kind, dims, hidden, kernel, use_covariate):
+    # one table gives every kind's layout: the count, the views and the
+    # initial weights equal those of the per-kind code it replaced, bit for bit
+    for seed in range(5):
+        params = init(kind, dims, seed, hidden=hidden, kernel=kernel,
+                      use_covariate=use_covariate)
+        ref = per_kind_init(kind, dims, seed, hidden=hidden, kernel=kernel,
+                            use_covariate=use_covariate)
+        assert params.theta.tobytes() == ref.tobytes()
+    arch = params.arch
+    assert arch.param_count() == per_kind_param_count(arch) == params.theta.size
+    views = _unpack(arch, params.theta)
+    assert _view_spans(views, params.theta) == _view_spans(
+        per_kind_unpack(arch, params.theta), params.theta)
+    assert {name: v.shape for name, v in views.items()} == _layout(arch)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"kind": "rnn"}, "unknown model kind 'rnn', expected one of ('mlp', 'linear')"),
+    ({"w": 0}, "dims must be positive, got w=0, tau=3, n=2"),
+    ({"tau": -1}, "dims must be positive, got w=6, tau=-1, n=2"),
+    ({"n": 0}, "dims must be positive, got w=6, tau=3, n=0"),
+    ({"hidden": 0}, "hidden width must be >= 1, got 0"),
+    ({"kind": "linear", "kernel": 0}, "moving-average kernel must be >= 1, got 0"),
+])
+def test_model_arch_rejects_bad_fields(fields, message):
+    with pytest.raises(ConfigError) as err:
+        ModelArch(**{"kind": "mlp", "w": 6, "tau": 3, "n": 2, **fields})
+    assert str(err.value) == message
+
+
+def test_forward_batch_rejects_interval_count_mismatch():
+    params = init("mlp", DIMS, 0, hidden=5)
+    with pytest.raises(DimensionError) as err:
+        forward_batch(params, np.zeros((3, 6, 2)), [FULL_DOMAIN] * 2)
+    assert str(err.value) == "2 intervals for a batch of 3 histories"
+
+
+@pytest.mark.parametrize("histories,targets,rows,message", [
+    ((3, 6, 2), (4, 3, 2), 4, "3 histories, 4 intervals and 4 loss weights for 4 targets"),
+    ((4, 6, 2), (4, 3, 2), 3, "4 histories, 3 intervals and 3 loss weights for 4 targets"),
+    ((4, 6, 2), (4, 2, 2), 4, "target shape (2, 2) does not match (tau, n) = (3, 2)"),
+])
+def test_backward_rejects_mismatched_batch(histories, targets, rows, message):
+    params = init("linear", DIMS, 0, kernel=3)
+    draw = BatchDraw(np.tile([0.0, 1.0], (rows, 1)), np.ones(rows), None)
+    with pytest.raises(DimensionError) as err:
+        backward(params, np.zeros(histories), np.zeros(targets), draw, 0.0)
+    assert str(err.value) == message
 
 
 def test_param_count_mismatch_rejected():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from intervalcast.cli import build_parser, main
+from intervalcast.models import KINDS, ModelArch, _layout
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -65,3 +66,16 @@ def test_readme_energy_commands_run(tmp_path, monkeypatch):
     assert len(thresholds) == 1 + 26 + 1  # header, one row per threshold, footer
     assert thresholds[-1].startswith("# best_threshold=")
     assert len(decisions) == 1 + 26
+
+
+def test_readme_checkpoint_layout_equals_the_models_layout():
+    # each kind's line of the "File formats" checkpoint entry lists the
+    # parameters in flat-vector order; read with small dims, each written
+    # shape equals the one the models module lays out
+    entry = README.read_text(encoding="utf-8").split("* **Checkpoint**", 1)[1]
+    dims = {"w": 5, "tau": 3, "n": 2, "hidden": 7}
+    for kind in KINDS:
+        line = re.search(rf"^  - {kind}: (.*)$", entry, re.MULTILINE).group(1)
+        listed = {name: eval(f"({shape},)", {}, dims)
+                  for name, shape in re.findall(r"`(\w+)` \(([^)]*)\)", line.replace("·", "*"))}
+        assert list(listed.items()) == list(_layout(ModelArch(kind, **dims)).items())

@@ -254,6 +254,13 @@ def test_draw_batch_matches_per_sample_reference(policy):
             assert rng_batched.bit_generator.state == rng_scalar.bit_generator.state
 
 
+def test_draw_batch_rejects_empty_batch():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigError) as err:
+        draw_batch(PolicyConfig("b"), np.empty((0, 2, 1)), rng)
+    assert str(err.value) == "batch must be non-empty"
+
+
 # ---------------------------------------------------------------- optimizer
 
 
@@ -629,14 +636,16 @@ def test_checkpoint_unknown_version_names_file(tmp_path):
         path.write_text(json.dumps(written))
         with pytest.raises(ConfigError) as err:
             load_checkpoint(path)
-        assert str(path) in str(err.value)
-        assert f"version {written['version']!r}" in str(err.value)
+        assert str(err.value) == (
+            f"unsupported checkpoint version {written['version']!r} in {path}"
+        )
 
 
 @pytest.mark.parametrize("key", [
     "version", "arch", "theta", "optimizer", "optimizer.step", "policy",
-    "policy.kind", "policy.task_interval", "policy.delta", "policy.L", "policy.nu",
-    "policy.phi", "policy.weight_decay",
+    "arch.kind", "arch.w", "arch.tau", "arch.n", "arch.hidden", "arch.kernel",
+    "arch.use_covariate", "policy.kind", "policy.task_interval", "policy.delta", "policy.L",
+    "policy.nu", "policy.phi", "policy.weight_decay",
 ])
 def test_checkpoint_missing_key_names_file(tmp_path, key):
     # every key that save_checkpoint writes is required: a missing version
@@ -657,6 +666,37 @@ def test_checkpoint_missing_key_names_file(tmp_path, key):
     with pytest.raises(FormatError) as err:
         load_checkpoint(path)
     assert str(err.value) == f"{path}: malformed checkpoint: KeyError: '{name}'"
+
+
+DSTAR = PolicyConfig("dstar", partition=DiscretePartition(2), nu=DecaySpec(37.0), phi=0.5)
+
+
+@pytest.mark.parametrize("policy,key,value,message", [
+    (DSTAR, "policy.kind", "zzz",
+     "unknown policy kind 'zzz', expected one of ('b', 'e2e', 'c', 'd', 'dstar')"),
+    (DSTAR, "policy.weight_decay", -1, "weight_decay must be finite and >= 0, got -1"),
+    (DSTAR, "policy.phi", 2.0, "phi must be in [0, 1], got 2.0"),
+    (DSTAR, "policy.L", None, "policy 'dstar' requires partition"),
+    (PolicyConfig("e2e", task_interval=Interval(0.2, 0.7)), "policy.task_interval", [0.7, 0.2],
+     "invalid interval [0.7, 0.2]: need 0 <= lo <= hi <= 1"),
+    (DSTAR, "arch.hidden", 0, "hidden width must be >= 1, got 0"),
+    (DSTAR, "arch.kind", "rnn", "unknown model kind 'rnn', expected one of ('mlp', 'linear')"),
+    (DSTAR, "arch.w", 0, "dims must be positive, got w=0, tau=2, n=1"),
+], ids=["policy_kind", "weight_decay", "phi", "dstar_without_L", "e2e_interval",
+        "arch_hidden", "arch_kind", "arch_w"])
+def test_checkpoint_with_rejected_value_names_file_once(tmp_path, policy, key, value, message):
+    # a value that ModelArch or PolicyConfig rejects used to raise their
+    # ConfigError naming no file, so eval could not say which file was bad
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, init("mlp", (4, 2, 1), 0, hidden=3), 7, policy)
+    doc = json.loads(path.read_text())
+    section, name = key.split(".")
+    doc[section][name] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: {message}"
+    assert str(err.value).count(str(path)) == 1
 
 
 def _v3_theta(values: np.ndarray) -> str:
