@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    SYNTH_NOISE_SD,
     SplitSpec,
     TimeSeries,
     WindowConfig,
@@ -48,6 +49,7 @@ from .energy import (
 from .errors import ConfigError, IntervalcastError
 from .evaluation import require_baseline, rolling_eval, write_table_csv
 from .intervals import DecaySpec, DiscretePartition, Interval
+from .models import KIND_MLP, KINDS, ModelArch
 from .patching import STRATEGIES, STRATEGY_AVERAGE, STRATEGY_MAXCONF
 from .training import (
     DEFAULT_BATCH,
@@ -188,7 +190,7 @@ def _out_dir(args) -> Path:
 # The data flags that only one data source reads, with their defaults. The
 # parser leaves them None, so a flag the chosen source ignores can be named.
 _DATA_FLAGS = {
-    "synthetic data": {"data_seed": 0, "noise_sd": 0.05},
+    "synthetic data": {"data_seed": 0, "noise_sd": SYNTH_NOISE_SD},
     "CSV data": {"domain_max": 1.0, "channels": 100},
 }
 
@@ -432,15 +434,18 @@ def cmd_energy(args) -> int:
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
+    synth, csv = _DATA_FLAGS["synthetic data"], _DATA_FLAGS["CSV data"]
     p.add_argument("--data", default="synth", help="'synth' or a CSV path")
     p.add_argument("--data-seed", type=_int_flag("--data-seed", 0), default=None,
-                   help="seed for the synthetic trace (0)")
-    p.add_argument("--noise-sd", type=float, default=None, help="synthetic noise level (0.05)")
+                   help=f"seed for the synthetic trace ({synth['data_seed']})")
+    p.add_argument("--noise-sd", type=float, default=None,
+                   help=f"synthetic noise level ({synth['noise_sd']})")
     p.add_argument("--domain-max", type=float, default=None,
-                   help="value-domain maximum for CSV data (1)")
+                   help=f"value-domain maximum for CSV data ({csv['domain_max']:g})")
     p.add_argument("--channels", type=_int_flag("--channels", 1), default=None,
-                   help="channel crop for CSV data (100)")
-    p.add_argument("--stride", type=_int_flag("--stride", 1), default=1, help="window stride")
+                   help=f"channel crop for CSV data ({csv['channels']})")
+    p.add_argument("--stride", type=_int_flag("--stride", 1), default=WindowConfig.stride,
+                   help="window stride")
     p.add_argument("--split", type=_parse_split, default="66,17,17",
                    help="train,val,test fractions")
 
@@ -448,9 +453,10 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w", type=_int_flag("--w", 1), default=48, help="history window length")
     p.add_argument("--tau", type=_int_flag("--tau", 1), default=24, help="forecast horizon")
-    p.add_argument("--model", choices=("mlp", "linear"), default="mlp")
-    p.add_argument("--hidden", type=_int_flag("--hidden", 1), default=64, help="mlp hidden width")
-    p.add_argument("--kernel", type=_int_flag("--kernel", 1), default=25,
+    p.add_argument("--model", choices=KINDS, default=KIND_MLP)
+    p.add_argument("--hidden", type=_int_flag("--hidden", 1), default=ModelArch.hidden,
+                   help="mlp hidden width")
+    p.add_argument("--kernel", type=_int_flag("--kernel", 1), default=ModelArch.kernel,
                    help="linear moving-average window")
 
 
@@ -486,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("generate", cmd_generate, "write the synthetic trace as CSV")
     p.add_argument("--seed", type=_int_flag("--seed", 0), default=0)
-    p.add_argument("--noise-sd", type=float, default=0.05)
+    p.add_argument("--noise-sd", type=float, default=SYNTH_NOISE_SD)
     p.add_argument("--name", default="synthds.csv", help="output file name")
 
     p = add_command("train", cmd_train, "train one policy with one seed")
@@ -520,12 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="utilization CSV for a threshold sweep")
     p.add_argument("--truth", default=None, help="true utilization CSV")
     p.add_argument("--forecast", default=None, help="forecast utilization CSV")
-    p.add_argument("--c-cap", type=float, default=100.0)
-    p.add_argument("--c-cov", type=float, default=30.0)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--e-on", type=float, default=1266.0)
-    p.add_argument("--e-off", type=float, default=320.0)
-    p.add_argument("--lambda", type=float, default=0.5)
+    p.add_argument("--c-cap", type=float, default=EnergySimConfig.c_cap)
+    p.add_argument("--c-cov", type=float, default=EnergySimConfig.c_cov)
+    p.add_argument("--alpha", type=float, default=EnergySimConfig.alpha)
+    p.add_argument("--e-on", type=float, default=EnergySimConfig.e_on)
+    p.add_argument("--e-off", type=float, default=EnergySimConfig.e_off)
+    p.add_argument("--lambda", type=float, default=EnergySimConfig.lam)
     p.add_argument("--thresholds", type=_parse_thresholds, default=default_threshold_grid(),
                    help="'start:stop:count' grid")
     return parser

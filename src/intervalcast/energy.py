@@ -22,25 +22,20 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-# Operating point used throughout the experiments.
-DEFAULT_C_CAP = 100.0   # Mbps, capacity-cell peak service rate
-DEFAULT_C_COV = 30.0    # Mbps, coverage-cell peak service rate
-DEFAULT_ALPHA = 0.5     # offloading degradation factor
-DEFAULT_E_ON = 1266.0   # Wh per time unit, capacity cell active
-DEFAULT_E_OFF = 320.0   # Wh per time unit, capacity cell sleeping
-
 THRESHOLD_GRID_MAX = 0.025
 THRESHOLD_GRID_POINTS = 26
 
 
 @dataclass(frozen=True)
 class EnergySimConfig:
-    c_cap: float = DEFAULT_C_CAP
-    c_cov: float = DEFAULT_C_COV
-    alpha: float = DEFAULT_ALPHA
-    e_on: float = DEFAULT_E_ON
-    e_off: float = DEFAULT_E_OFF
-    lam: float = 0.5  # trade-off weight on energy vs throughput
+    """The operating point used throughout the experiments, and the trade-off weight."""
+
+    c_cap: float = 100.0   # Mbps, capacity-cell peak service rate
+    c_cov: float = 30.0    # Mbps, coverage-cell peak service rate
+    alpha: float = 0.5     # offloading degradation factor
+    e_on: float = 1266.0   # Wh per time unit, capacity cell active
+    e_off: float = 320.0   # Wh per time unit, capacity cell sleeping
+    lam: float = 0.5       # trade-off weight on energy vs throughput
 
     def __post_init__(self):
         for name in ("c_cap", "c_cov"):

@@ -113,7 +113,8 @@ class BatchDraw(NamedTuple):
 
 
 def init(kind: str, dims: tuple[int, int, int], seed: int, *,
-         hidden: int = 64, kernel: int = 25, use_covariate: bool = True) -> ModelParams:
+         hidden: int = ModelArch.hidden, kernel: int = ModelArch.kernel,
+         use_covariate: bool = True) -> ModelParams:
     """Deterministic initialization: weights U[-s, s] with s = sqrt(1/fan_in), biases 0.
 
     The matrices of :func:`_layout` draw in layout order from one generator

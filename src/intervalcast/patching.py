@@ -1,18 +1,19 @@
 """Serving: from query intervals to forecasts, per policy.
 
-:func:`forecast_each` is the one serving path. It projects a history or a
-stack of histories once (:func:`models.project_histories`, the
-interval-free part of the first layer) and serves every query from that
-projection, forwarding only the cells that query needs. A policy without
-patching forwards the one interval it conditions on. The
-patching-augmented policy composes the partition cells that intersect the
-query with one of two strategies: a confidence-weighted average of the
-cells' regression outputs, or the single output of the most confident
-cell. A cell serves a query when the two share a value under the one
-membership rule of :func:`intervals.intersecting`. A cell's scalar
-confidence is the mean of its tau x n probability head; the confidences
-never leave this module. :func:`forecast` serves one query through
-:func:`forecast_each`.
+:func:`forecast_each` is the one serving path. It projects a history, or
+a stack of histories, once as a (B, w, n) stack
+(:func:`models.project_histories`, the interval-free part of the first
+layer) and serves every query from that projection, forwarding only the
+cells that query needs with :func:`models.forward_cells`. A policy without
+patching takes the output of the one interval it conditions on. The
+patching-augmented policy reduces the (B, k, tau, n) outputs of the
+partition cells that intersect the query with one of two strategies
+(:func:`_compose`): a confidence-weighted average of the cells' regression
+outputs, or the single output of the most confident cell. A cell serves a
+query when the two share a value under the one membership rule of
+:func:`intervals.intersecting`. A cell's scalar confidence is the mean of
+its tau x n probability head; the confidences never leave this module.
+:func:`forecast` serves one query through :func:`forecast_each`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateConfidenceError, DimensionError, UnsupportedQueryError
 from .intervals import FULL_DOMAIN, Interval, intersecting
-from .models import ModelParams, Projection, forward_cells, project_histories
+from .models import ModelParams, forward_cells, project_histories
 from .training import PolicyConfig
 
 STRATEGY_AVERAGE = "avg"
@@ -53,49 +54,31 @@ def _served_cells(policy: PolicyConfig, query: Interval) -> list[Interval]:
     return [query]
 
 
-def _cell_outputs(
-    projection: Projection, cells: list[Interval], lead: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Regression outputs (..., k, tau, n) and scalar confidences (..., k) per cell.
+def _compose(reg: np.ndarray, prob: np.ndarray, query: Interval, strategy: str) -> np.ndarray:
+    """One (B, tau, n) forecast per history from the cells that serve ``query``.
 
-    ``projection`` holds the projected histories, and ``lead`` is the shape
-    they were given in: () for one history, (B,) for a stack. Both results
-    lead with it. The k cells are forwarded in one pass.
+    ``reg`` and ``prob`` are the (B, k, tau, n) outputs of
+    :func:`models.forward_cells`. A cell's confidence is the mean of its
+    probability head. The ``avg`` mean is clamped to the cells' per-entry
+    envelope, which guards only against float rounding; ``max`` breaks
+    ties toward the lower cell.
     """
-    reg, prob = forward_cells(projection, cells)
-    arch = projection.arch
+    _, _, tau, n = reg.shape
     # the mean of each probability head; sum / size skips np.mean's per-call overhead
-    conf = prob.sum(axis=(2, 3)) / (arch.tau * arch.n)
-    return reg.reshape(lead + reg.shape[1:]), conf.reshape(lead + (len(cells),))
-
-
-def _compose(reg: np.ndarray, conf: np.ndarray, query: Interval, strategy: str) -> np.ndarray:
-    """One forecast from the outputs of the cells that serve ``query``.
-
-    ``reg`` is (..., k, tau, n) and ``conf`` (..., k). The ``avg`` mean is
-    clamped to the cells' per-entry envelope, which guards only against
-    float rounding; ``max`` breaks ties toward the lower cell.
-    """
-    unclaimed = conf.max(axis=-1) <= CONFIDENCE_FLOOR
-    if unclaimed.any():
-        which = "the input" if conf.ndim == 1 else (
-            f"history {np.flatnonzero(unclaimed)[0]} of the stack"
-        )
+    conf = prob.sum(axis=(2, 3)) / (tau * n)
+    unclaimed = np.flatnonzero(conf.max(axis=1) <= CONFIDENCE_FLOOR)
+    if len(unclaimed):
         raise DegenerateConfidenceError(
-            f"no cell claims {which} for query {query}: "
+            f"no cell claims history {unclaimed[0]} for query {query}: "
             f"all confidences <= {CONFIDENCE_FLOOR}"
         )
     if strategy == STRATEGY_AVERAGE:
-        weights = conf / conf.sum(axis=-1, keepdims=True)
-        pred = (weights[..., None, None] * reg).sum(axis=-3)
+        weights = conf / conf.sum(axis=1, keepdims=True)
+        pred = (weights[:, :, None, None] * reg).sum(axis=1)
         # np.clip, without its per-call overhead
-        pred = np.minimum(np.maximum(pred, reg.min(axis=-3)), reg.max(axis=-3))
-    else:
-        # argmax returns the first (lowest) cell on ties
-        rows = reg.reshape((-1,) + reg.shape[-3:])
-        best = rows[np.arange(len(rows)), conf.argmax(axis=-1).reshape(-1)]
-        pred = best.reshape(unclaimed.shape + reg.shape[-2:])
-    return pred
+        return np.minimum(np.maximum(pred, reg.min(axis=1)), reg.max(axis=1))
+    # argmax returns the first (lowest) cell on ties
+    return reg[np.arange(len(reg)), conf.argmax(axis=1)]
 
 
 def forecast_each(
@@ -114,7 +97,9 @@ def forecast_each(
     ``history`` is one (w, n) history, giving (tau, n) forecasts, or a
     (B, w, n) stack, giving (B, tau, n) forecasts.
 
-    The history or stack is projected once for all queries, and each
+    Both are served as a stack: one history is a stack of one, and each
+    forecast is shaped back to the history's leading dimensions at the
+    end. The stack is projected once for all queries, and each
     query's cells are forwarded in a pass of their own: one pass over the
     union of all queries' cells would be slower, through its larger
     temporaries. Forecast j is bitwise equal to :func:`forecast` of query j
@@ -130,13 +115,12 @@ def forecast_each(
     if h.ndim not in (2, 3):
         raise DimensionError(f"history must be (w, n) or (B, w, n), got shape {h.shape}")
     projection = project_histories(params, h.reshape((-1,) + h.shape[-2:]))
+    shape = h.shape[:-2] + (projection.arch.tau, projection.arch.n)
     forecasts = []
     for query, cells in zip(queries, served):
-        reg, conf = _cell_outputs(projection, cells, h.shape[:-2])
-        if policy.kind == "dstar":
-            forecasts.append(_compose(reg, conf, query, strategy))
-        else:
-            forecasts.append(reg[..., 0, :, :])
+        reg, prob = forward_cells(projection, cells)
+        pred = _compose(reg, prob, query, strategy) if policy.kind == "dstar" else reg[:, 0]
+        forecasts.append(pred.reshape(shape))
     return forecasts
 
 

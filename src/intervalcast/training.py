@@ -175,7 +175,7 @@ def draw_batch(
     Y = np.asarray(targets, dtype=np.float64)
     B = len(Y)
     if B == 0:
-        raise ConfigError("batch must be non-empty")
+        raise DataError("batch must be non-empty")
     if policy.kind == "c":
         u = rng.random((B, 2))
         lo = (1.0 - policy.delta) * u[:, 0]
@@ -389,8 +389,8 @@ def train(
     epochs: int = DEFAULT_EPOCHS,
     batch_size: int = DEFAULT_BATCH,
     patience: int = DEFAULT_PATIENCE,
-    hidden: int = 64,
-    kernel: int = 25,
+    hidden: int = ModelArch.hidden,
+    kernel: int = ModelArch.kernel,
 ) -> tuple[ModelParams, TrainReport, int]:
     """Mini-batch training with per-epoch cosine annealing and early stopping.
 

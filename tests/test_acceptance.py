@@ -35,7 +35,7 @@ from intervalcast.data import synth_hypothesis
 from intervalcast.evaluation import interval_mae
 from intervalcast.intervals import target_weights
 from intervalcast.models import ModelParams, backward, forward_batch, init, project_histories
-from intervalcast.patching import _cell_outputs, forecast, intersecting
+from intervalcast.patching import forecast, forward_cells, intersecting
 from intervalcast.training import draw_batch
 from fd_check import check_gradient
 
@@ -185,7 +185,7 @@ def test_criterion_4_patching_contracts():
         pred = forecast(params, policy, s.history, query)
         cells = intersecting(policy.partition, query)
         cells_ok &= len(cells) == 2
-        regs, _ = _cell_outputs(project_histories(params, s.history[None]), cells, ())
+        regs = forward_cells(project_histories(params, s.history[None]), cells)[0][0]
         envelope_ok &= bool(
             np.all(pred >= regs.min(axis=0)) and np.all(pred <= regs.max(axis=0))
         )

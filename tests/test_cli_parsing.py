@@ -1,10 +1,12 @@
 import argparse
+import inspect
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from intervalcast import cli
+from intervalcast import WindowConfig, cli
 from intervalcast.cli import (
     _parse_interval,
     _parse_nu,
@@ -12,8 +14,12 @@ from intervalcast.cli import (
     _parse_sweep,
     _parse_thresholds,
 )
+from intervalcast.data import SYNTH_NOISE_SD
+from intervalcast.energy import EnergySimConfig, default_threshold_grid
 from intervalcast.errors import ConfigError
 from intervalcast.intervals import Interval
+from intervalcast.models import KINDS, ModelArch, init
+from intervalcast.training import DEFAULT_BATCH, DEFAULT_EPOCHS, DEFAULT_PATIENCE, train
 
 
 def test_parse_sweep_partition_axis():
@@ -150,3 +156,34 @@ def test_every_flag_is_its_own_config_key(tmp_path, monkeypatch):
                     if tokens:
                         with pytest.raises(AssertionError):
                             _assert_same(by_flag, defaults)
+
+
+def test_each_default_a_library_object_owns_is_the_objects():
+    # every command parsed with no flags: a default that the library states
+    # is the library's value, and the model choices are the model kinds
+    parser = cli.build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    parsed = {name: vars(parser.parse_args([name])) for name in commands}
+    assert parsed["generate"]["noise_sd"] == SYNTH_NOISE_SD
+    assert cli._DATA_FLAGS["synthetic data"]["noise_sd"] == SYNTH_NOISE_SD
+    energy = parsed["energy"]
+    for field in fields(EnergySimConfig):
+        dest = "lambda" if field.name == "lam" else field.name
+        assert energy[dest] == field.default, dest
+    assert np.array_equal(energy["thresholds"], default_threshold_grid())
+    arch = {field.name: field.default for field in fields(ModelArch)}
+    for name in ("train", "sweep"):
+        args = parsed[name]
+        assert (args["hidden"], args["kernel"]) == (arch["hidden"], arch["kernel"])
+        assert args["stride"] == WindowConfig.stride
+        assert (args["epochs"], args["batch"], args["patience"]) == (
+            DEFAULT_EPOCHS, DEFAULT_BATCH, DEFAULT_PATIENCE
+        )
+        model = next(a for a in commands[name]._actions if a.dest == "model")
+        assert tuple(model.choices) == KINDS and model.default in KINDS
+    for function in (init, train):
+        signature = inspect.signature(function).parameters
+        assert signature["hidden"].default == arch["hidden"]
+        assert signature["kernel"].default == arch["kernel"]

@@ -312,15 +312,15 @@ def test_rolled_forecasts_serve_the_rolled_stack(name, strategy):
 def test_rolling_eval_names_a_degenerate_origin(monkeypatch):
     # zero the confidences of the fourth origin only: one forecast call
     # serves all origins, and its error must say which one no cell claims
-    real = patching._cell_outputs
+    real = patching.forward_cells
 
-    def fourth_unclaimed(projection, cells, lead):
-        reg, conf = real(projection, cells, lead)
-        conf = conf.copy()
-        conf[3] = 0.0
-        return reg, conf
+    def fourth_unclaimed(projection, cells):
+        reg, prob = real(projection, cells)
+        prob = prob.copy()
+        prob[3] = 0.0
+        return reg, prob
 
-    monkeypatch.setattr(patching, "_cell_outputs", fourth_unclaimed)
+    monkeypatch.setattr(patching, "forward_cells", fourth_unclaimed)
     policy, queries = _POLICIES["dstar"]
     params = init("mlp", (8, 4, 2), 1, hidden=5, use_covariate=True)
     with pytest.raises(DegenerateConfidenceError) as err:

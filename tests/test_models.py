@@ -13,7 +13,7 @@ from intervalcast import (
     draw_batch,
     init,
 )
-from intervalcast.errors import ConfigError, DimensionError, NumericError
+from intervalcast.errors import ConfigError, DataError, DimensionError, NumericError
 from intervalcast.models import (
     BatchDraw,
     ModelArch,
@@ -286,8 +286,9 @@ def test_backward_raises_on_nonfinite_sample():
 
 def test_backward_rejects_empty_batch():
     params = init("mlp", DIMS, 2, hidden=5)
-    with pytest.raises(Exception):
+    with pytest.raises(DataError) as err:
         backward(params, np.empty((0, 6, 2)), np.empty((0, 3, 2)), _full_domain_draw([]), 0.0)
+    assert str(err.value) == "batch must be non-empty"
 
 
 @pytest.mark.parametrize("kind", ["mlp", "linear"])

@@ -50,15 +50,23 @@ def _cells(request):
 
 def _cell_predictions(params, request):
     projection = project_histories(params, request["history"][None])
-    return patching._cell_outputs(projection, _cells(request), ())[0]
+    return forward_cells(projection, _cells(request))[0][0]
 
 
 def _fake_outputs(regs, confs):
+    """A stand-in for ``forward_cells``: cell j gives ``regs[j]`` for every history.
+
+    Cell j's probability head holds ``confs[j]`` in each entry, so its mean
+    is that confidence: exactly for 0 and 0.5, and to within rounding for
+    the others, as the (3, 1) head of these tests has three entries.
+    """
     regs = np.asarray(regs, dtype=float)
     confs = np.asarray(confs, dtype=float)
 
-    def fake(projection, cells, lead):
-        return regs[: len(cells)], confs[: len(cells)]
+    def fake(projection, cells):
+        k = len(cells)
+        reg = np.broadcast_to(regs[:k], (len(projection.term), k) + regs.shape[1:])
+        return reg, np.broadcast_to(confs[:k, None, None], reg.shape)
 
     return fake
 
@@ -74,28 +82,28 @@ def test_single_cell_returns_exact_output():
 
 def test_average_equal_confidences(monkeypatch):
     regs = np.stack([np.full((3, 1), 0.2), np.full((3, 1), 0.6)])
-    monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, [0.4, 0.4]))
+    monkeypatch.setattr(patching, "forward_cells", _fake_outputs(regs, [0.4, 0.4]))
     pred = forecast(_params(), **_request(Interval(0.3, 0.6), L=4))
     assert np.allclose(pred, 0.4)
 
 
 def test_average_weighted_by_confidence(monkeypatch):
     regs = np.stack([np.full((3, 1), 1.0), np.full((3, 1), 0.0)])
-    monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, [0.9, 0.1]))
+    monkeypatch.setattr(patching, "forward_cells", _fake_outputs(regs, [0.9, 0.1]))
     pred = forecast(_params(), **_request(Interval(0.3, 0.6), L=4))
     assert np.allclose(pred, 0.9)
 
 
 def test_maxconf_takes_argmax(monkeypatch):
     regs = np.stack([np.full((3, 1), 0.11), np.full((3, 1), 0.77)])
-    monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, [0.2, 0.8]))
+    monkeypatch.setattr(patching, "forward_cells", _fake_outputs(regs, [0.2, 0.8]))
     pred = forecast(_params(), **_max(_request(Interval(0.3, 0.6), L=4)))
     assert np.array_equal(pred, regs[1])
 
 
 def test_maxconf_tie_breaks_low(monkeypatch):
     regs = np.stack([np.full((3, 1), 0.11), np.full((3, 1), 0.77)])
-    monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, [0.5, 0.5]))
+    monkeypatch.setattr(patching, "forward_cells", _fake_outputs(regs, [0.5, 0.5]))
     request = _max(_request(Interval(0.3, 0.6), L=4))
     pred = forecast(_params(), **request)
     assert np.array_equal(pred, regs[0])
@@ -105,7 +113,7 @@ def test_maxconf_tie_breaks_low(monkeypatch):
 
 def test_degenerate_confidences_raise(monkeypatch):
     regs = np.zeros((2, 3, 1))
-    monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, [0.0, 1e-13]))
+    monkeypatch.setattr(patching, "forward_cells", _fake_outputs(regs, [0.0, 1e-13]))
     with pytest.raises(DegenerateConfidenceError):
         forecast(_params(), **_request(Interval(0.3, 0.6), L=4))
     with pytest.raises(DegenerateConfidenceError):
@@ -133,12 +141,12 @@ def test_maxconf_bit_identical_to_one_cell():
 def test_strategies_invariant_to_cell_order(monkeypatch):
     regs = np.stack([np.full((3, 1), v) for v in (0.1, 0.5, 0.9)])
     confs = np.array([0.2, 0.7, 0.4])
-    monkeypatch.setattr(patching, "_cell_outputs", _fake_outputs(regs, confs))
+    monkeypatch.setattr(patching, "forward_cells", _fake_outputs(regs, confs))
     avg1 = forecast(_params(), **_request(Interval(0.1, 0.7), L=4))
     max1 = forecast(_params(), **_max(_request(Interval(0.1, 0.7), L=4)))
     perm = [2, 0, 1]
     monkeypatch.setattr(
-        patching, "_cell_outputs", _fake_outputs(regs[perm], confs[perm])
+        patching, "forward_cells", _fake_outputs(regs[perm], confs[perm])
     )
     avg2 = forecast(_params(), **_request(Interval(0.1, 0.7), L=4))
     max2 = forecast(_params(), **_max(_request(Interval(0.1, 0.7), L=4)))
@@ -152,22 +160,22 @@ def test_confidence_reduction_invariant_to_entry_permutation():
     params = _params(5)
     request = _request(Interval(0.3, 0.6), L=4)
     rng = np.random.default_rng(0)
-    def permuted(projection, cells_, lead):
+    def permuted(projection, cells_):
         reg_, prob = forward_cells(projection, cells_)
-        flat = prob.reshape(len(cells_), -1)
-        perm = rng.permutation(flat.shape[1])
-        return reg_[0], flat[:, perm].mean(axis=1)
+        flat = prob.reshape(prob.shape[:2] + (-1,))
+        perm = rng.permutation(flat.shape[2])
+        return reg_, flat[:, :, perm].reshape(prob.shape)
 
     base_avg = forecast(params, **request)
     base_max = forecast(params, **_max(request))
     import intervalcast.patching as mod
-    original = mod._cell_outputs
+    original = mod.forward_cells
     try:
-        mod._cell_outputs = permuted
+        mod.forward_cells = permuted
         perm_avg = forecast(params, **request)
         perm_max = forecast(params, **_max(request))
     finally:
-        mod._cell_outputs = original
+        mod.forward_cells = original
     assert np.abs(base_avg - perm_avg).max() < 1e-12
     assert np.array_equal(base_max, perm_max)
 
@@ -271,6 +279,32 @@ def test_forecast_of_a_stack_equals_single_calls(kind, policy, query, strategy):
     singles = np.stack([forecast(params, policy, h, query, strategy) for h in stack])
     assert got.shape == (9, 3, 2)
     assert np.allclose(got, singles, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "linear"])
+@pytest.mark.parametrize("policy,query", _STACK_CASES, ids=lambda c: getattr(c, "kind", None))
+@pytest.mark.parametrize("strategy", ["avg", "max"])
+def test_one_history_is_served_as_a_stack_of_one(kind, policy, query, strategy):
+    params = init(kind, (6, 3, 2), 7, hidden=5, kernel=3, use_covariate=policy.uses_covariate)
+    history = np.random.default_rng(5).uniform(0, 1, (6, 2))
+    alone = forecast(params, policy, history, query, strategy)
+    assert alone.shape == (3, 2)
+    assert alone.tobytes() == forecast(params, policy, history[None], query, strategy)[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "policy,query", _STACK_CASES[:4], ids=lambda c: getattr(c, "kind", None)
+)
+def test_policies_without_patching_never_compose(policy, query, monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"the {policy.kind} policy composed cells")
+
+    monkeypatch.setattr(patching, "_compose", refuse)
+    params = init("mlp", (6, 3, 2), 7, hidden=5, use_covariate=policy.uses_covariate)
+    for history in (np.zeros((6, 2)), np.zeros((4, 6, 2))):
+        for strategy in ("avg", "max"):
+            pred = forecast(params, policy, history, query, strategy)
+            assert pred.shape == history.shape[:-2] + (3, 2)
 
 
 def _servable(policy):

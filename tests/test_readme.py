@@ -1,4 +1,4 @@
-"""The README's library example runs as written, and its commands parse."""
+"""The README's library example runs as written, its commands parse, and its defaults hold."""
 
 import re
 import shlex
@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from intervalcast import SplitSpec
 from intervalcast.cli import build_parser, main
 from intervalcast.models import KINDS, ModelArch, _layout
 
@@ -34,13 +35,31 @@ def test_readme_library_example_runs():
     assert np.allclose(namespace["rolled"][0], namespace["pred"], rtol=0.0, atol=1e-12)
 
 
+def _cli_block() -> str:
+    """The "Command line" block, its continued lines joined."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    return re.search(r"```bash\n(.*?)```", section, re.DOTALL).group(1).replace("\\\n", " ")
+
+
 def _cli_commands() -> list[list[str]]:
     """Each ``intervalcast`` command of the "Command line" block, as argv tokens."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("## Command line", 1)[1]
-    block = re.search(r"```bash\n(.*?)```", section, re.DOTALL).group(1)
-    lines = block.replace("\\\n", " ").splitlines()
+    lines = _cli_block().splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("intervalcast ")]
+
+
+def _stated_defaults(command: str) -> str:
+    """What the block's first comment that states defaults above a ``command`` line states.
+
+    That is the comment's text from "defaults:" to the next ")" or its end,
+    on one line.
+    """
+    for paragraph in _cli_block().split("\n\n"):
+        lines = paragraph.splitlines()
+        comment = " ".join(line[1:].strip() for line in lines if line.startswith("#"))
+        if "defaults:" in comment and any(line.startswith(f"intervalcast {command} ")
+                                          for line in lines):
+            return re.search(r"defaults:([^)]*)", comment).group(1).strip()
+    raise AssertionError(f"the block states no defaults for {command}")
 
 
 def test_readme_commands_parse():
@@ -51,6 +70,38 @@ def test_readme_commands_parse():
     for argv in commands:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+def test_readme_stated_defaults_are_the_parsers():
+    # the block's three "defaults:" comments, each read whole: a statement
+    # dropped, added or changed fails to match, and each value stated is
+    # the default that its command parses with no flags
+    parser = build_parser()
+    generate, train, energy = (vars(parser.parse_args([command]))
+                               for command in ("generate", "train", "energy"))
+    stated = _stated_defaults("generate")
+    match = re.fullmatch(r"seed (\d+), Gaussian noise (\S+)", stated)
+    assert match, stated
+    seed, noise = match.groups()
+    assert (int(seed), float(noise)) == (generate["seed"], generate["noise_sd"]), stated
+    stated = _stated_defaults("train")
+    match = re.fullmatch(r"(\w+) data, w=(\d+), tau=(\d+), (\d+)/(\d+)/(\d+) chronological "
+                         r"split, (\w+), batch (\d+), (\d+) epochs", stated)
+    assert match, stated
+    data, w, tau, *split, model, batch, epochs = match.groups()
+    assert (data, int(w), int(tau), model, int(batch), int(epochs)) == (
+        train["data"], train["w"], train["tau"], train["model"], train["batch"], train["epochs"]
+    ), stated
+    assert SplitSpec(*(int(p) / 100 for p in split)) == train["split"], stated
+    stated = _stated_defaults("energy")
+    match = re.fullmatch(r"c_cap=(\S+) Mbps, c_cov=(\S+) Mbps, alpha=(\S+), e_on=(\S+) Wh, "
+                         r"e_off=(\S+) Wh, (\d+) thresholds over \[(\S+), (\S+)\]", stated)
+    assert match, stated
+    *point, count, lo, hi = match.groups()
+    names = ("c_cap", "c_cov", "alpha", "e_on", "e_off")
+    assert [float(v) for v in point] == [energy[name] for name in names], stated
+    grid = np.linspace(float(lo), float(hi), int(count))
+    assert np.array_equal(grid, energy["thresholds"]), stated
 
 
 def test_readme_energy_commands_run(tmp_path, monkeypatch):

@@ -256,7 +256,7 @@ def test_draw_batch_matches_per_sample_reference(policy):
 
 def test_draw_batch_rejects_empty_batch():
     rng = np.random.default_rng(0)
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(DataError) as err:
         draw_batch(PolicyConfig("b"), np.empty((0, 2, 1)), rng)
     assert str(err.value) == "batch must be non-empty"
 
